@@ -19,7 +19,6 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -249,7 +248,6 @@ def cmd_run(args) -> int:
                             pt["l"] = l
                         pt.update(extras)
                         points.append(pt)
-        rows = []
         errors = []
 
         def work(pt):
@@ -260,11 +258,7 @@ def cmd_run(args) -> int:
                                          if not k.startswith("_")}, "error": str(exc)})
                 return None
 
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                rows = [r for r in pool.map(work, points) if r is not None]
-        else:
-            rows = [r for r in map(work, points) if r is not None]
+        rows = [r for r in map(work, points) if r is not None]
         rows.sort(key=lambda r: (r["quantity"], float(r["t"]), float(r["x"]),
                                  str(r["alpha"]), str(r["l"])))
         label = q.get("label", q["name"])
@@ -384,7 +378,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=TOL_ALG,
                         help="axiom/identity tolerance")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for grids")
     parser.add_argument("--cap", type=int, default=64,
                         help="search/amplitude cap where applicable")
     sub = parser.add_subparsers(dest="command", required=True)

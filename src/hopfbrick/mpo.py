@@ -27,9 +27,6 @@ from .algebra import canonical_power, exponent, tier_chain
 from .tensors import SolvableTensorSet, build_projectors
 
 TOL_NUM = 1e-9
-EIG_DENSE_CAP = 400
-POWER_ITER_TOL = 1e-12
-POWER_ITER_CAP = 10 ** 5
 
 
 def leg_of(x, t) -> str:
@@ -44,12 +41,21 @@ def _half_steps(t) -> int:
     return n
 
 
-def _einsum_chain(operands, wiring, out):
-    args = []
-    for op, w in zip(operands, wiring):
-        args += [op, w]
-    args.append(out)
-    return np.einsum(*args, optimize=True)
+def _chain(left, sites, right):
+    """<left| W_1 ... W_n |right> with every physical leg left open.
+
+    Each site is [bond_in, bond_out] or [bond_in, bond_out, out, in]; the
+    result carries all out legs, then all in legs, each in site order.
+    """
+    n = len(sites)
+    operands, outs, ins = [left, [0]], [], []
+    for k, W in enumerate(sites):
+        legs = [n + 1 + 2 * k, n + 2 + 2 * k][:W.ndim - 2]
+        operands += [W, [k, k + 1, *legs]]
+        outs += legs[:1]
+        ins += legs[1:]
+    operands += [right, [n], outs + ins]
+    return np.einsum(*operands, optimize=True)
 
 
 # -- states -------------------------------------------------------------------------
@@ -90,18 +96,29 @@ class MPSState:
             A.shape[1] ** 2, A.shape[2] ** 2)
 
     def environments(self):
+        """(Lambda_L, Lambda_R) of the cell transfer matrix.
+
+        Raises ValueError, leaving the sites untouched, when the leading
+        eigenvalue is zero, not finite or not simple (a non-injective state
+        has no unique fixed point).
+        """
         if self._env is None:
             E = self.site_transfer("rho") @ self.site_transfer("v")
+            if not np.isfinite(E).all():
+                raise ValueError("MPS cell transfer matrix is not finite")
             vals, vecs = np.linalg.eig(E)
-            k = int(np.argmax(np.abs(vals)))
+            order = np.argsort(-np.abs(vals))
+            k = int(order[0])
             lam = vals[k]
+            if abs(lam) <= TOL_NUM * np.linalg.norm(E):
+                raise ValueError("MPS cell transfer matrix has leading eigenvalue zero")
+            if len(vals) > 1 and abs(vals[order[1]]) >= abs(lam) * (1 - TOL_NUM):
+                raise ValueError("MPS cell transfer matrix has a degenerate leading "
+                                 "eigenvalue (non-injective state)")
             if abs(lam - 1.0) > 1e-12:
-                s = np.abs(lam) ** (-0.25)
-                ph = (lam / np.abs(lam)) ** (-0.25)
-                self.rho_site = self.rho_site * s * ph
-                self.v_site = self.v_site * s * ph
-                self._env = None
-                return self.environments()
+                scale = abs(lam) ** (-0.25)
+                self.rho_site = self.rho_site * scale
+                self.v_site = self.v_site * scale
             right = vecs[:, k]
             wl, vl = np.linalg.eig(E.T)
             left = vl[:, int(np.argmax(np.abs(wl)))]
@@ -168,7 +185,6 @@ class TransferStack:
         lamR = lam_r.reshape(Dpsi, Dpsi)
         self.K_L = np.einsum("y,Y,mM->yYmM", eps, eps.conj(), lamL).reshape(-1)
         self.K_R = np.einsum("x,X,nN->xXnN", u, u.conj(), lamR).reshape(-1)
-        self._swap = None
 
     def T_open(self, kind):
         return self._open[kind]
@@ -184,21 +200,6 @@ class TransferStack:
 
     def T_v(self, op=None):
         return self.T("v", op)
-
-    def swap_matrix(self):
-        if self._swap is None:
-            d = self.ts.algebra.dim
-            Dpsi = self.state.bond_dim
-            idx = np.arange(self.dim).reshape(d, d, Dpsi, Dpsi)
-            perm = np.transpose(idx, (1, 0, 3, 2)).reshape(-1)
-            S = np.zeros((self.dim, self.dim))
-            S[np.arange(self.dim), perm] = 1.0
-            self._swap = S
-        return self._swap
-
-    def T_primed(self, kind, op=None):
-        S = self.swap_matrix()
-        return S @ self.T(kind, op) @ S
 
     def cell(self):
         return self.T_rho() @ self.T_v()
@@ -221,33 +222,9 @@ def mpo_triangle(ts: SolvableTensorSet, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    R, V = ts.rho_tensor, ts.v_tensor
-    lab = [0]
-
-    def new():
-        lab[0] += 1
-        return lab[0]
-
-    ext = {name: {k: new() for k in range(1, n + 1)} for name in "aibj"}
-    operands, wiring = [ts.counit_vec], [[new()]]
-    bond = wiring[0][0]
-    for k in range(1, n + 1):
-        nxt = new()
-        operands.append(R)
-        wiring.append([ext["a"][k], ext["b"][k], nxt, bond])   # [a,b,arg,out]
-        bond = nxt
-        nxt = new()
-        operands.append(V)
-        wiring.append([ext["i"][k], ext["j"][k], nxt, bond])
-        bond = nxt
-    operands.append(ts.unit_vec)
-    wiring.append([bond])
-    out = []
-    for k in range(1, n + 1):
-        out += [ext["a"][k], ext["i"][k]]
-    for k in range(1, n + 1):
-        out += [ext["b"][k], ext["j"][k]]
-    return _einsum_chain(operands, wiring, out)
+    R = ts.rho_tensor.transpose(3, 2, 0, 1)        # [out, arg, a, b]
+    V = ts.v_tensor.transpose(3, 2, 0, 1)
+    return _chain(ts.counit_vec, [R, V] * n, ts.unit_vec)
 
 
 def mpo_diamond_power(ts: SolvableTensorSet, n: int, k: int = 1) -> np.ndarray:
@@ -258,36 +235,9 @@ def mpo_diamond_power(ts: SolvableTensorSet, n: int, k: int = 1) -> np.ndarray:
     if n < 1 or k < 1:
         raise ValueError("n, k must be >= 1")
     ck = canonical_power(ts.algebra, k).coeffs
-    R, V = ts.rho_tensor, ts.v_tensor
-    lab = [0]
-
-    def new():
-        lab[0] += 1
-        return lab[0]
-
-    ext = {name: {kk: new() for kk in range(1, n + 1)} for name in "aibj"}
-    operands, wiring = [ts.counit_vec], [[new()]]
-    bond = wiring[0][0]
-    for kk in range(1, n + 1):
-        nxt = new()
-        operands.append(R)
-        wiring.append([ext["a"][kk], ext["b"][kk], nxt, bond])
-        bond = nxt
-    x_free = bond
-    y_free = new()
-    bond = y_free
-    for kk in range(1, n + 1):
-        nxt = new()
-        operands.append(V)
-        wiring.append([ext["i"][kk], ext["j"][kk], nxt, bond])
-        bond = nxt
-    operands.append(ts.unit_vec)
-    wiring.append([bond])
-    operands.append(ck)
-    wiring.append([x_free, y_free])
-    out = [ext["a"][kk] for kk in range(1, n + 1)] + [ext["i"][kk] for kk in range(1, n + 1)] \
-        + [ext["b"][kk] for kk in range(1, n + 1)] + [ext["j"][kk] for kk in range(1, n + 1)]
-    block = _einsum_chain(operands, wiring, out)
+    R = ts.rho_tensor.transpose(3, 2, 0, 1)
+    V = ts.v_tensor.transpose(3, 2, 0, 1)
+    block = _chain(ts.counit_vec, [R] * n + [ck] + [V] * n, ts.unit_vec)
     dr, dv = ts.d_rho, ts.d_v
     return block.reshape(dr ** n * dv ** n, dr ** n * dv ** n)
 
@@ -299,33 +249,9 @@ def mpo_inverted_triangle(ts: SolvableTensorSet, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    Rp, Vp = ts.rho_primed, ts.v_primed
-    lab = [0]
-
-    def new():
-        lab[0] += 1
-        return lab[0]
-
-    ext = {name: {k: new() for k in range(1, n + 1)} for name in "aibj"}
-    operands, wiring = [ts.unit_vec], [[new()]]
-    bond = wiring[0][0]
-    for k in range(1, n + 1):
-        nxt = new()
-        operands.append(Vp)
-        wiring.append([ext["i"][k], ext["j"][k], bond, nxt])   # primed: arg fed from the left
-        bond = nxt
-        nxt = new()
-        operands.append(Rp)
-        wiring.append([ext["a"][k], ext["b"][k], bond, nxt])
-        bond = nxt
-    operands.append(ts.counit_vec)
-    wiring.append([bond])
-    out = []
-    for k in range(1, n + 1):
-        out += [ext["i"][k], ext["a"][k]]
-    for k in range(1, n + 1):
-        out += [ext["j"][k], ext["b"][k]]
-    return _einsum_chain(operands, wiring, out)
+    Rp = ts.rho_primed.transpose(2, 3, 0, 1)       # primed: arg fed from the left
+    Vp = ts.v_primed.transpose(2, 3, 0, 1)
+    return _chain(ts.unit_vec, [Vp, Rp] * n, ts.counit_vec)
 
 
 # -- Heisenberg MPOs ----------------------------------------------------------------------
@@ -402,25 +328,9 @@ class HeisenbergMPO:
 
     def to_dense(self):
         """Dense operator on the covered sites: axes (out_1.., in_1..), column order."""
-        lab = [0]
-
-        def new():
-            lab[0] += 1
-            return lab[0]
-
-        operands, wiring = [self.boundary_left()], [[new()]]
-        bond = wiring[0][0]
-        outs, ins = [], []
-        for k in range(self.n_columns):
-            nxt, o, i = new(), new(), new()
-            operands.append(self.site_tensor(k))
-            wiring.append([bond, nxt, o, i])
-            outs.append(o)
-            ins.append(i)
-            bond = nxt
-        operands.append(self.boundary_right())
-        wiring.append([bond])
-        return _einsum_chain(operands, wiring, outs + ins)
+        return _chain(self.boundary_left(),
+                      [self.site_tensor(k) for k in range(self.n_columns)],
+                      self.boundary_right())
 
 
 def heisenberg_mpo(ts, O, t, leg=None, position=0.0) -> HeisenbergMPO:
@@ -613,21 +523,28 @@ def _renyi_small_window(ts, state, l, t, alpha) -> float:
 class ReplicaChannel:
     """Matrix-free application of the alpha-replica transfer operators.
 
-    The virtual space has 2*alpha slots of dimension d_A (ket/bra pairs per
-    replica; product states only).  Unprimed operators act replica-wise;
-    primed ones are conjugated by the one-slot translation of the replica
-    ring, realized as an index permutation.
+    The virtual space has 2*alpha slots of dimension d_A, slot 2r the ket and
+    slot 2r+1 the bra of replica r (product states only).  An unprimed step
+    applies the (d_A^2, d_A^2) column operator to every slot pair (2r, 2r+1).
+    A primed step pairs each bra with the next replica's ket: it applies the
+    ket<->bra transpose of the column operator to the pairs
+    (2r+1, 2r+2 mod 2*alpha), i.e. the column operator conjugated by the
+    one-slot translation of the replica ring.  A step walks the ring once,
+    acting on the leading pair and moving it to the back; the primed walk
+    starts at slot 1.
     """
 
     def __init__(self, ts, state, alpha):
         if state.bond_dim != 1:
             raise ValueError("replica transfer matrices support product states")
         self.alpha = int(alpha)
-        self.d = ts.algebra.dim
+        d = self.d = ts.algebra.dim
         st = TransferStack(ts, state)
-        S = st.swap_matrix()
-        self.base = {"rho": st.T_rho(), "v": st.T_v()}
-        self.base_primed = {k: S @ m @ S for k, m in self.base.items()}
+        self.ops = {}
+        for kind in ("rho", "v"):
+            T = st.T(kind)                  # [(ket, bra), (ket_in, bra_in)]
+            self.ops[kind, False] = T
+            self.ops[kind, True] = T.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, -1)
         self.kl_pair = np.kron(ts.counit_vec, ts.counit_vec.conj())
         self.kr_pair = np.kron(ts.unit_vec, ts.unit_vec.conj())
 
@@ -638,25 +555,12 @@ class ReplicaChannel:
             out = np.kron(out, v)
         return out
 
-    def _apply_pairwise(self, mat, vec):
-        d2 = self.d * self.d
-        v = vec.reshape((d2,) * self.alpha)
-        for r in range(self.alpha):
-            v = np.moveaxis(np.tensordot(mat, v, axes=([1], [r])), 0, r)
-        return v.reshape(-1)
-
-    def _translate(self, vec, inverse=False):
-        v = vec.reshape((self.d,) * (2 * self.alpha))
-        shift = 1 if inverse else -1
-        order = [(k + shift) % (2 * self.alpha) for k in range(2 * self.alpha)]
-        return np.transpose(v, order).reshape(-1)
-
     def apply(self, kind, vec, primed=False):
-        if not primed:
-            return self._apply_pairwise(self.base[kind], vec)
-        v = self._translate(vec, inverse=True)
-        v = self._apply_pairwise(self.base_primed[kind], v)
-        return self._translate(v, inverse=False)
+        d, op = self.d, self.ops[kind, primed]
+        v = vec.reshape(d, -1).T if primed else vec
+        for _ in range(self.alpha):
+            v = v.reshape(d * d, -1).T @ op.T
+        return (v.reshape(-1, d).T if primed else v).reshape(-1)
 
 
 def _replica_trace(ch: ReplicaChannel, program) -> float:
@@ -758,50 +662,23 @@ def projector_mpo(ts: SolvableTensorSet):
 def _leading_environment(M, tol=TOL_NUM):
     """(lambda, [(l_k, r_k)]) of a channel matrix; pairs are biorthonormal.
 
-    Dense eigendecomposition below EIG_DENSE_CAP, else power iteration.  A
-    degenerate leading modulus returns every eigenpair on that circle (the
+    A degenerate leading modulus returns every eigenpair on that circle (the
     projector onto the full unit-modulus eigenspace).
     """
     n = M.shape[0]
-    if n <= EIG_DENSE_CAP:
-        vals, vr = np.linalg.eig(M)
-        wl, vl = np.linalg.eig(M.T)
-        order = np.argsort(-np.abs(vals))
-        lam = vals[order[0]]
-        keep = [k for k in range(n) if np.abs(vals[k]) >= np.abs(lam) * (1 - tol)]
-        pairs = []
-        for k in keep:
-            r = vr[:, k]
-            cand = [j for j in range(n) if abs(wl[j] - vals[k]) <= 1e-8 * max(1, abs(vals[k]))]
-            l = vl[:, cand[0]]
-            l = l / (l @ r)
-            pairs.append((l, r))
-        return lam, pairs
-    # power iteration (simple leading eigenvalue assumed)
-    rng = np.random.default_rng(7)
-    r = rng.normal(size=n) + 1j * rng.normal(size=n)
-    l = rng.normal(size=n) + 1j * rng.normal(size=n)
-    lam = 1.0
-    for _ in range(POWER_ITER_CAP):
-        r_new = M @ r
-        lam_new = np.linalg.norm(r_new)
-        r_new = r_new / lam_new
-        if np.linalg.norm(r_new - r) < POWER_ITER_TOL:
-            r = r_new
-            lam = lam_new
-            break
-        r = r_new
-        lam = lam_new
-    for _ in range(POWER_ITER_CAP):
-        l_new = M.T @ l
-        l_new = l_new / np.linalg.norm(l_new)
-        if np.linalg.norm(l_new - l) < POWER_ITER_TOL:
-            l = l_new
-            break
-        l = l_new
-    phase = (M @ r)[np.argmax(np.abs(r))] / r[np.argmax(np.abs(r))]
-    l = l / (l @ r)
-    return complex(phase), [(l, r)]
+    vals, vr = np.linalg.eig(M)
+    wl, vl = np.linalg.eig(M.T)
+    order = np.argsort(-np.abs(vals))
+    lam = vals[order[0]]
+    keep = [k for k in range(n) if np.abs(vals[k]) >= np.abs(lam) * (1 - tol)]
+    pairs = []
+    for k in keep:
+        r = vr[:, k]
+        cand = [j for j in range(n) if abs(wl[j] - vals[k]) <= 1e-8 * max(1, abs(vals[k]))]
+        l = vl[:, cand[0]]
+        l = l / (l @ r)
+        pairs.append((l, r))
+    return lam, pairs
 
 
 class _MpoLayer:
@@ -811,10 +688,6 @@ class _MpoLayer:
         self.tensors = tensors          # per site: [bl, br, out, in]
 
     @classmethod
-    def identity(cls, dims):
-        return cls([np.eye(d, dtype=complex)[None, None] for d in dims])
-
-    @classmethod
     def site_operator(cls, dims, where, op):
         tensors = []
         for k, d in enumerate(dims):
@@ -822,29 +695,6 @@ class _MpoLayer:
                 tensors.append(np.asarray(op, dtype=complex)[None, None])
             else:
                 tensors.append(np.eye(d, dtype=complex)[None, None])
-        return cls(tensors)
-
-    @classmethod
-    def from_heisenberg(cls, hmpo: HeisenbergMPO, window, dagger=False):
-        """Embed a Heisenberg MPO into a site window (identity outside)."""
-        support = hmpo.support()
-        pos_to_col = {round(2 * p): k for k, p in enumerate(support)}
-        tensors = []
-        for p in window:
-            key = round(2 * p)
-            if key not in pos_to_col:
-                d = hmpo.ts.d_v if leg_of(p, 0) == "v" else hmpo.ts.d_rho
-                tensors.append(np.eye(d, dtype=complex)[None, None])
-                continue
-            k = pos_to_col[key]
-            W = hmpo.site_tensor(k)
-            if k == 0:
-                W = np.einsum("l,lrxy->rxy", hmpo.boundary_left(), W)[None]
-            if k == hmpo.n_columns - 1:
-                W = np.einsum("lrxy,r->lxy", W, hmpo.boundary_right())[:, None]
-            if dagger:
-                W = np.conj(np.swapaxes(W, 2, 3))
-            tensors.append(W)
         return cls(tensors)
 
     @classmethod
@@ -960,6 +810,13 @@ def _pure_cell_channel(ts):
     return Nv @ Nr
 
 
+def _cell_window(ts, positions):
+    """Whole unit cells (p, p + 1/2) covering `positions`, and their site dims."""
+    cells = range(int(np.floor(min(positions))), int(np.ceil(max(positions) - 0.5)) + 1)
+    window = [q for p in cells for q in (float(p), p + 0.5)]
+    return window, [ts.d_v if leg_of(q, 0) == "v" else ts.d_rho for q in window]
+
+
 def st_correlator(ts, A_op, B_op, x, t, ring_cells=None) -> complex:
     """Normalized infinite-chain trace Tr[P A_0(t) B_x(0)] / Tr[P].
 
@@ -972,19 +829,13 @@ def st_correlator(ts, A_op, B_op, x, t, ring_cells=None) -> complex:
     if abs(x) > t:
         return 0.0 + 0.0j
     if n == 0:
-        window = [0.0, 0.5]
+        window, dims = _cell_window(ts, [0.0])
         AB = np.asarray(A_op) @ np.asarray(B_op)
         layers = [_MpoLayer.projector(ts, window),
-                  _MpoLayer.site_operator([ts.d_v, ts.d_rho], 0, AB)]
+                  _MpoLayer.site_operator(dims, 0, AB)]
         return _st_value(ts, window, layers)
     hm = heisenberg_mpo(ts, A_op, t, position=0.0)
-    support = hm.support()
-    p_min = int(np.floor(min(min(support), x)))
-    p_max = int(np.ceil(max(max(support), x) - 0.5))
-    window = []
-    for p in range(p_min, p_max + 1):
-        window += [float(p), p + 0.5]
-    dims = [ts.d_v if leg_of(q, 0) == "v" else ts.d_rho for q in window]
+    window, dims = _cell_window(ts, hm.support() + [x])
     ket, op_layer, bra = _MpoLayer.heisenberg_rows(hm, window)
     layers = [
         _MpoLayer.projector(ts, window),
@@ -1029,12 +880,7 @@ def otoc(ts, V_op, W_op, x, t, warn_nonunitary=True, ring_cells=None) -> complex
                 warnings.warn(f"{name} is not unitary; OTOC computed anyway")
     n = _half_steps(t)
     if n == 0:
-        p_min = int(np.floor(min(0.0, x)))
-        p_max = int(np.ceil(max(0.0, x)))
-        window = []
-        for p in range(p_min, p_max + 1):
-            window += [float(p), p + 0.5]
-        dims = [ts.d_v if leg_of(q, 0) == "v" else ts.d_rho for q in window]
+        window, dims = _cell_window(ts, [0.0, x])
         w_at = window.index(0.0)
         v_at = window.index(float(x))
         layers = [
@@ -1046,16 +892,7 @@ def otoc(ts, V_op, W_op, x, t, warn_nonunitary=True, ring_cells=None) -> complex
         ]
         return _st_value(ts, window, layers)
     hm = heisenberg_mpo(ts, V_op, t, position=x)
-    support = hm.support()
-    p_min = int(np.floor(min(min(support), 0.0)))
-    p_max = int(np.ceil(max(max(support), 0.0) - 0.5))
-    window = []
-    p = p_min
-    while p <= p_max:
-        window.append(float(p))
-        window.append(p + 0.5)
-        p += 1
-    dims = [ts.d_v if leg_of(pp, 0) == "v" else ts.d_rho for pp in window]
+    window, dims = _cell_window(ts, hm.support() + [0.0])
     w_where = window.index(0.0)
     v_rows = _MpoLayer.heisenberg_rows(hm, window)
     vdag_rows = _MpoLayer.heisenberg_rows(hm, window, dagger=True)
@@ -1087,43 +924,6 @@ class PbcEvolution:
     translation_cells: int
 
 
-def _ring_translation(d, n_sites, shift_sites):
-    dim = d ** n_sites
-    perm = np.zeros(dim, dtype=np.int64)
-    # site s content moves to site s + shift
-    strides = d ** np.arange(n_sites)[::-1]
-    for code in range(dim):
-        digits = [(code // strides[s]) % d for s in range(n_sites)]
-        new_digits = [digits[(s - shift_sites) % n_sites] for s in range(n_sites)]
-        perm[code] = int(np.dot(new_digits, strides))
-    T = np.zeros((dim, dim))
-    T[perm, np.arange(dim)] = 1.0
-    return T
-
-
-def _leg_to_ring_permutation(d, n_sites, site_of_leg):
-    """Permutation matrix: (P psi_ring) carries ring amplitudes in leg order."""
-    dim = d ** n_sites
-    strides = d ** np.arange(n_sites)[::-1]
-    P = np.zeros((dim, dim))
-    for code in range(dim):
-        digits = [(code // strides[k]) % d for k in range(n_sites)]
-        ring = [0] * n_sites
-        for k in range(n_sites):
-            ring[site_of_leg[k]] = digits[k]
-        P[code, int(np.dot(ring, strides))] = 1.0
-    return P
-
-
-def _axis_permutation(d, n_sites, order):
-    dim = d ** n_sites
-    src = np.arange(dim).reshape((d,) * n_sites)
-    moved = np.transpose(src, order).reshape(-1)
-    P = np.zeros((dim, dim))
-    P[np.arange(dim), moved] = 1.0
-    return P
-
-
 def pbc_evolution_mpo(ts, L, k=1) -> PbcEvolution:
     """U(t_k) on the 2L-site ring: translation o inverted-triangle o diamond^{k-1}
     o triangle, with legs aligned so the result equals the brickwork product of
@@ -1134,38 +934,25 @@ def pbc_evolution_mpo(ts, L, k=1) -> PbcEvolution:
     d = ts.d_rho
     n = 2 * L
     dim = d ** n
-    tri = mpo_triangle(ts, L).reshape(dim, dim)
-    inv = mpo_inverted_triangle(ts, L).reshape(dim, dim)
+    M = mpo_triangle(ts, L).reshape(dim, dim)
     if k >= 2:
-        mid = mpo_diamond_power(ts, L, k - 1)
-        order = []
-        for kk in range(L):
-            order += [kk, L + kk]            # (a-block, i-block) -> (a1, i1, ...)
-        Pi = _axis_permutation(d, n, order)
-        mid = Pi @ mid @ Pi.T
-    else:
-        mid = np.eye(dim, dtype=complex)
+        # (a-block, i-block) -> (a1, i1, ...) on both sides
+        pairs = [ax for kk in range(L) for ax in (kk, L + kk)]
+        mid = mpo_diamond_power(ts, L, k - 1).reshape((d,) * (2 * n))
+        M = mid.transpose(pairs + [n + ax for ax in pairs]).reshape(dim, dim) @ M
     # the inverted triangle's lower legs are ordered (j1, b1, ...) while the
     # stack below produces (a1, i1, ...): pairing j_k <-> i_k, b_k <-> a_k is a
     # swap within each pair
-    order = []
-    for kk in range(L):
-        order += [2 * kk + 1, 2 * kk]
-    Psw = _axis_permutation(d, n, order)
-    M = inv @ Psw @ mid @ tri
-    # ring embedding (calibrated against the dense brickwork): input legs
-    # (b1, j1, ..., bL, jL) sit at sites (1, 2, ..., 2L-1, 0); output legs
-    # (i_k, a_k) at sites (2k-1, 2k); the translation T_{L/2}^k adds kL sites.
-    in_sites = []
-    out_sites = []
-    for kk in range(1, L + 1):
-        in_sites += [(2 * kk - 1) % n, (2 * kk) % n]
-        out_sites += [(2 * kk - 1) % n, (2 * kk) % n]
-    P_in = _leg_to_ring_permutation(d, n, in_sites)
-    P_out = _leg_to_ring_permutation(d, n, out_sites)
-    bare = P_out.T @ M @ P_in
-    T = _ring_translation(d, n, (k * L) % n)
-    return PbcEvolution(L=L, k=k, operator=T @ bare, translation_cells=k % 2)
+    inv = mpo_inverted_triangle(ts, L)
+    inv = inv.transpose(list(range(n)) + [n + (ax ^ 1) for ax in range(n)])
+    M = (inv.reshape(dim, dim) @ M).reshape((d,) * (2 * n))
+    # ring embedding (calibrated against the dense brickwork): leg m of either
+    # side, in the order (b1, j1, ..., bL, jL) resp. (i1, a1, ...), sits at
+    # site m + 1 mod 2L; the translation T_{L/2}^k moves the output by kL sites
+    shift = (k * L) % n
+    order = [(s - 1 - shift) % n for s in range(n)] + [n + (s - 1) % n for s in range(n)]
+    return PbcEvolution(L=L, k=k, operator=M.transpose(order).reshape(dim, dim),
+                        translation_cells=k % 2)
 
 
 def revival_time(ts, L) -> int:

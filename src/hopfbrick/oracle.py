@@ -313,16 +313,11 @@ def oracle_st_correlator(circuit, A_op, B_op, x, t) -> complex:
         vec = basis[:, k] if basis is not None else np.eye(dim, dtype=complex)[:, k]
         w = apply_site_op(circuit, vec, B_op, x)
         w = evolve(circuit, w, t)
-        w = apply_site_op(circuit, w, A_op, _heisenberg_position(0.0, t))
+        w = apply_site_op(circuit, w, A_op, 0.0)
         # undo the evolution on the bra side: <vec| U(t)^dag A U(t) B |vec>
         bra = evolve(circuit, vec, t)
         total += np.vdot(bra, w)
     return complex(total / D)
-
-
-def _heisenberg_position(x, t):
-    """Physical position of an operator inserted at time t (site grid is fixed)."""
-    return x
 
 
 def oracle_otoc(circuit, V_op, W_op, x, t) -> complex:

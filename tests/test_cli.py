@@ -58,7 +58,7 @@ def test_run_config_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "out1"
     out2 = tmp_path / "out2"
     assert run_cli(["run", str(cfg), "--out", str(out1)]) == 0
-    assert run_cli(["--jobs", "3", "run", str(cfg), "--out", str(out2)]) == 0
+    assert run_cli(["run", str(cfg), "--out", str(out2)]) == 0
     capsys.readouterr()
     for name in ("q.csv", "r.csv", "f.csv"):
         assert (out1 / name).read_text() == (out2 / name).read_text()
@@ -117,6 +117,14 @@ def test_oracle_command(capsys):
                     "--O", "e3", "--t", "1"]) == 0
     out = capsys.readouterr().out
     assert "solvable subspace dim 7" in out
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the library must not import it
+    code = "import sys, hopfbrick.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point():

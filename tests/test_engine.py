@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,29 @@ def test_expectation_mps_initial_state(d3_ts):
         assert abs(eng - ref) < 1e-10, (t, eng, ref)
 
 
+def test_environments_reject_nilpotent_transfer():
+    # every product of two site matrices vanishes: leading eigenvalue zero
+    A = np.zeros((2, 2, 2))
+    A[0, 0, 1] = A[1, 0, 1] = 1.0
+    state = mpo.MPSState(rho_site=A, v_site=A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="eigenvalue zero"):
+            state.environments()
+    assert np.array_equal(state.rho_site, A) and np.array_equal(state.v_site, A)
+
+
+def test_environments_reject_degenerate_leading_eigenvalue():
+    # A[0] = |0><1|, A[1] = |1><0|: a non-injective state whose cell transfer
+    # matrix has eigenvalue 1 twice
+    A = np.zeros((2, 2, 2))
+    A[0, 0, 1] = A[1, 1, 0] = 1.0
+    state = mpo.MPSState(rho_site=A, v_site=A)
+    with pytest.raises(ValueError, match="degenerate"):
+        state.environments()
+    assert np.array_equal(state.rho_site, A) and np.array_equal(state.v_site, A)
+
+
 def test_two_point_vs_oracle(d3_ts, d3_state, fib_ts, fib_state):
     circD = orc.DenseCircuit.from_tensor_set(d3_ts, L=4, amplitude_cap=10 ** 6)
     plus = np.array([1, 1]) / np.sqrt(2)
@@ -164,7 +189,8 @@ def test_fib_connected_correlator_vs_oracle(fib_ts, fib_state):
 
 
 @pytest.mark.parametrize("l,t,alpha", [(1, 1, 2), (2, 1, 2), (2, 2, 2),
-                                       (1, 2, 3), (2, 2, 3), (1, 1.5, 2)])
+                                       (1, 2, 3), (2, 2, 3), (1, 1.5, 2),
+                                       (3, 1, 4)])
 def test_renyi_three_way_d3(d3_ts, d3_state, l, t, alpha):
     hs = mpo.renyi_small(d3_ts, d3_state, l, t, alpha)
     hr = mpo.renyi_replica(d3_ts, d3_state, l, t, alpha)

@@ -83,6 +83,7 @@ def test_heisenberg_mpo_dense_vs_network_block(fib_ts):
 @pytest.mark.parametrize("name,L,ks", [
     ("dihedral-3", 2, (1, 2)),
     ("fibonacci", 2, (1, 2)),
+    ("dihedral-3", 3, (1, 2, 3)),
 ])
 def test_pbc_evolution_vs_brickwork(name, L, ks):
     ts = build_tensors(zoo.model(name))
