@@ -57,18 +57,24 @@ def _load_model(name: str, tol=TOL_ALG):
     return RepPair(A, rho, v, name=A.name or name)
 
 
+def _site_index(label, d) -> int:
+    """0-based index of a 1-based site label digit string."""
+    k = int(label)
+    if not 1 <= k <= d:
+        raise ValueError(f"site label {label!r} is outside 1..{d}")
+    return k - 1
+
+
 def _single_site_operator(spec, d):
     """Named single-site operators: eK = |k><k|, eJK = |j><k|, or a matrix."""
     if isinstance(spec, str):
         if spec == "id":
             return np.eye(d, dtype=complex)
-        if spec.startswith("e") and spec[1:].isdigit():
-            idx = spec[1:]
+        idx = spec[1:]
+        if spec.startswith("e") and idx.isdigit() and len(idx) <= 2:
+            j, k = (_site_index(c, d) for c in (idx if len(idx) == 2 else idx * 2))
             out = np.zeros((d, d), dtype=complex)
-            if len(idx) == 1:
-                out[int(idx) - 1, int(idx) - 1] = 1.0
-            else:
-                out[int(idx[0]) - 1, int(idx[1]) - 1] = 1.0
+            out[j, k] = 1.0
             return out
         raise ValueError(f"unknown operator name {spec!r}")
     arr = np.asarray(spec, dtype=complex)
@@ -80,9 +86,8 @@ def _site_vector(spec, d):
     if isinstance(spec, str):
         if spec in named:
             return named[spec]
-        k = int(spec)
         out = np.zeros(d)
-        out[k - 1] = 1.0
+        out[_site_index(spec, d)] = 1.0
         return out
     return np.asarray(spec, dtype=complex)
 
@@ -179,9 +184,8 @@ def _eval_point(pair, ts, state, q, point):
         val = mpo.two_point(ts, O, O2, int(x), int(t), state,
                             connected=q.get("connected", True))
     elif kind == "renyi":
-        method = q.get("method", "auto")
         l_int = int(l)
-        if method == "small" or (method == "auto" and (ts.d_rho * ts.d_v) ** (2 * l_int) <= 2 ** 20):
+        if (ts.d_rho * ts.d_v) ** (2 * l_int) <= 2 ** 20:
             val = mpo.renyi_small(ts, state, l_int, t, int(alpha))
         else:
             val = mpo.renyi_replica(ts, state, l_int, t, int(alpha))

@@ -2,10 +2,19 @@
 
 Triangle / diamond / inverted-triangle operator networks as bond-d_A matrix
 products, Heisenberg-picture observable MPOs (bond d_A^2 at any time),
-quench expectation values and equal-time correlators, Renyi entropies in
-three regimes (small subsystem, replica transfer matrices, semi-infinite),
-equilibration rates, normalized projector-trace spatiotemporal correlators
-and OTOCs, and the periodic-chain evolution operator at its special times.
+quench expectation values and equal-time correlators, Renyi entropies of
+finite blocks (explicit reduced density matrix or replica transfer matrices)
+and of the half chain, equilibration rates, normalized projector-trace
+spatiotemporal correlators and OTOCs, and the periodic-chain evolution
+operator at its special times.
+
+Column programs: a quench quantity is <K_L| C_0 C_1 ... C_{2n-1} |K_R> over
+column transfer matrices alternating rho, v, with a local operator on some
+columns (`_columns`; at t = 0 the columns are the state's site transfers).
+A block entropy is one program, `_renyi_program`, whose open columns carry
+the block's legs: kept open on one copy they give the reduced density
+matrix, paired across replicas they give the replica trace.  Both forms
+hold at every block size and time.
 
 Time bookkeeping: one period applies the odd then the even gate layer, so a
 Heisenberg operator at time t spans 2t column pairs (t in half-integers).
@@ -58,6 +67,18 @@ def _chain(left, sites, right):
     return np.einsum(*operands, optimize=True)
 
 
+def _columns(left, column, n_cells, ops, right) -> complex:
+    """<left| C_0 C_1 ... C_{2n-1} |right> with C_c = column(kind, ops.get(c)).
+
+    Kinds alternate rho, v from column 0; the columns act on `right` one at
+    a time, the last one first.
+    """
+    vec = right
+    for c in reversed(range(2 * n_cells)):
+        vec = column("rho" if c % 2 == 0 else "v", ops.get(c)) @ vec
+    return complex(left @ vec)
+
+
 # -- states -------------------------------------------------------------------------
 
 
@@ -90,9 +111,11 @@ class MPSState:
     def bond_dim(self):
         return self.rho_site.shape[1]
 
-    def site_transfer(self, which):
-        A = self.rho_site if which == "rho" else self.v_site
-        return np.einsum("pmn,pMN->mMnN", A, A.conj()).reshape(
+    def site_transfer(self, kind, op=None):
+        """Transfer matrix of one site, with `op` between ket and bra."""
+        A = self.rho_site if kind == "rho" else self.v_site
+        ket = A if op is None else np.tensordot(op, A, axes=1)
+        return np.einsum("pmn,pMN->mMnN", ket, A.conj()).reshape(
             A.shape[1] ** 2, A.shape[2] ** 2)
 
     def environments(self):
@@ -159,7 +182,9 @@ class TransferStack:
 
     Virtual layout per cut: (ket A-bond, bra A-bond, ket psi-bond, bra
     psi-bond), flattened.  K_L carries (counit, conj counit, Lambda_L) and
-    pairs with output slots; K_R carries (unit, conj unit, Lambda_R).
+    pairs with output slots; K_R carries (unit, conj unit, Lambda_R).  The
+    traced columns T(kind) are built once; T(kind, op) inserts `op` between
+    the column's ket and bra.
     """
 
     def __init__(self, ts: SolvableTensorSet, state: MPSState):
@@ -171,29 +196,26 @@ class TransferStack:
         self.dim = d * d * Dpsi * Dpsi
         R, V = ts.rho_tensor, ts.v_tensor
         Ar, Av = state.rho_site, state.v_site
-        # open columns [bra-down, ket-up, left(out) group, right(arg) group]
+        # open columns [left(out) group, bra-down, ket-up, right(arg) group]
         self._open = {
-            "rho": np.einsum("apxy,pmn,BqXY,qMN->BayYmMxXnN", R, Ar,
+            "rho": np.einsum("apxy,pmn,BqXY,qMN->yYmMBaxXnN", R, Ar,
                              R.conj(), Ar.conj(), optimize=True
-                             ).reshape(ts.d_rho, ts.d_rho, self.dim, self.dim),
-            "v": np.einsum("ipxy,pmn,JqXY,qMN->JiyYmMxXnN", V, Av,
+                             ).reshape(self.dim, ts.d_rho, ts.d_rho, self.dim),
+            "v": np.einsum("ipxy,pmn,JqXY,qMN->yYmMJixXnN", V, Av,
                            V.conj(), Av.conj(), optimize=True
-                           ).reshape(ts.d_v, ts.d_v, self.dim, self.dim),
+                           ).reshape(self.dim, ts.d_v, ts.d_v, self.dim),
         }
+        self._traced = {kind: np.einsum("LaaR->LR", col) for kind, col in self._open.items()}
         eps, u = ts.counit_vec, ts.unit_vec
         lamL = lam_l.reshape(Dpsi, Dpsi)
         lamR = lam_r.reshape(Dpsi, Dpsi)
         self.K_L = np.einsum("y,Y,mM->yYmM", eps, eps.conj(), lamL).reshape(-1)
         self.K_R = np.einsum("x,X,nN->xXnN", u, u.conj(), lamR).reshape(-1)
 
-    def T_open(self, kind):
-        return self._open[kind]
-
     def T(self, kind, op=None):
-        col = self._open[kind]
         if op is None:
-            return np.einsum("aaLR->LR", col)
-        return np.einsum("Ba,BaLR->LR", np.asarray(op, dtype=complex), col)
+            return self._traced[kind]
+        return np.einsum("Ba,LBaR->LR", np.asarray(op, dtype=complex), self._open[kind])
 
     def T_rho(self, op=None):
         return self.T("rho", op)
@@ -205,11 +227,7 @@ class TransferStack:
         return self.T_rho() @ self.T_v()
 
     def normalization(self, t) -> complex:
-        vec = self.K_R.copy()
-        cell = self.cell()
-        for _ in range(_half_steps(t)):
-            vec = cell @ vec
-        return complex(self.K_L @ vec)
+        return _columns(self.K_L, self.T, _half_steps(t), {}, self.K_R)
 
 
 # -- operator-shape MPOs ----------------------------------------------------------------
@@ -303,18 +321,10 @@ class HeisenbergMPO:
         d = ts.algebra.dim
         if not 0 <= k < self.n_columns:
             raise IndexError("column out of range")
-        kind = "rho" if k % 2 == 0 else "v"
-        op = None
-        if self.leg == "v" and k == self.n_columns - 1:
-            op = self.op
-        elif self.leg == "rho" and k == 0:
-            op = self.op
-        base = ts.rho_tensor if kind == "rho" else ts.v_tensor
-        if op is None:
-            W = np.einsum("apxy,AqXY,Aa->yYxXqp", base, base.conj(),
-                          np.eye(base.shape[0]), optimize=True)
-        else:
-            W = np.einsum("apxy,AqXY,Aa->yYxXqp", base, base.conj(), op, optimize=True)
+        base = ts.rho_tensor if k % 2 == 0 else ts.v_tensor
+        on_op = k == (self.n_columns - 1 if self.leg == "v" else 0)
+        op = self.op if on_op else np.eye(base.shape[0])
+        W = np.einsum("apxy,AqXY,Aa->yYxXqp", base, base.conj(), op, optimize=True)
         dp = base.shape[1]
         return W.reshape(d * d, d * d, dp, dp)
 
@@ -343,92 +353,45 @@ def heisenberg_mpo(ts, O, t, leg=None, position=0.0) -> HeisenbergMPO:
 # -- quench expectation values ----------------------------------------------------------
 
 
+def _state_columns(state: MPSState, n_cells, ops) -> complex:
+    """A t = 0 program over the state's site transfers, normalized by the
+    same program without operators."""
+    lam_l, lam_r = state.environments()
+    return (_columns(lam_l, state.site_transfer, n_cells, ops, lam_r)
+            / _columns(lam_l, state.site_transfer, n_cells, {}, lam_r))
+
+
 def expectation(ts, O, t, state: MPSState, x=0.0, leg=None) -> complex:
-    """<O_x(t)> in the quench from a translation-invariant state."""
-    O = np.asarray(O, dtype=complex)
+    """<O_x(t)> in the quench from a translation-invariant state.
+
+    2t cells with O on the last column (v-leg) or on column 0 (rho-leg); at
+    t = 0 one cell of the state.
+    """
     if leg is None:
         leg = leg_of(x, t)
     n = _half_steps(t)
-    lam_l, lam_r = state.environments()
     if n == 0:
-        A = state.v_site if leg == "v" else state.rho_site
-        D = state.bond_dim
-        T_O = np.einsum("pmn,Qp,QMN->mMnN", A, O, A.conj()).reshape(D * D, D * D)
-        T_1 = state.site_transfer("v" if leg == "v" else "rho")
-        if leg == "v":
-            lvec = lam_l @ state.site_transfer("rho")
-            rvec = lam_r
-        else:
-            lvec = lam_l
-            rvec = state.site_transfer("v") @ lam_r
-        return complex((lvec @ T_O @ rvec) / (lvec @ T_1 @ rvec))
+        return _state_columns(state, 1, {1 if leg == "v" else 0: O})
     st = TransferStack(ts, state)
-    cell = st.cell()
-    vec = st.K_R.copy()
-    if leg == "v":
-        vec = st.T_v(O) @ vec
-        vec = st.T_rho() @ vec
-        for _ in range(n - 1):
-            vec = cell @ vec
-    else:
-        for _ in range(n - 1):
-            vec = cell @ vec
-        vec = st.T_v() @ vec
-        vec = st.T_rho(O) @ vec
-    return complex(st.K_L @ vec)
+    return _columns(st.K_L, st.T, n, {2 * n - 1 if leg == "v" else 0: O}, st.K_R)
 
 
 def two_point(ts, O, O2, x, t, state: MPSState, connected=False) -> complex:
-    """<O_0(t) O2_{x+1/2}(t)>; O at integer site 0, O2 at site x + 1/2, t integer."""
+    """<O_0(t) O2_{x+1/2}(t)>; O at integer site 0, O2 at site x + 1/2, t integer.
+
+    2t + x cells with O on column 4t - 1 and O2 on column 2x; at t = 0,
+    x + 2 cells of the state with O on column 1 and O2 on column 2x + 2.
+    """
     if int(round(t)) != t:
         raise ValueError("two_point is defined at integer times")
     if x < 0 or int(round(x)) != x:
         raise ValueError("x must be a non-negative integer")
     t, x = int(round(t)), int(round(x))
-    O = np.asarray(O, dtype=complex)
-    O2 = np.asarray(O2, dtype=complex)
     if t == 0:
-        e1 = expectation(ts, O, 0, state, x=0.0)
-        e2 = expectation(ts, O2, 0, state, x=x + 0.5)
-        if x == 0:
-            lam_l, lam_r = state.environments()
-            D = state.bond_dim
-            Tv = np.einsum("pmn,Qp,QMN->mMnN", state.v_site, O,
-                           state.v_site.conj()).reshape(D * D, D * D)
-            Tr = np.einsum("pmn,Qp,QMN->mMnN", state.rho_site, O2,
-                           state.rho_site.conj()).reshape(D * D, D * D)
-            num = lam_l @ state.site_transfer("rho") @ Tv @ Tr @ lam_r
-            den = lam_l @ state.site_transfer("rho") @ state.site_transfer("v") \
-                @ state.site_transfer("rho") @ lam_r
-            val = complex(num / den)
-        else:
-            val = complex(e1 * e2)
-        return val - e1 * e2 if connected else val
-    st = TransferStack(ts, state)
-    cell = st.cell()
-    vec = st.K_R.copy()
-    if x <= 2 * t - 1:
-        for _ in range(x):
-            vec = cell @ vec
-        vec = st.T_v(O) @ vec
-        cell_vr = st.T_v() @ st.T_rho()
-        for _ in range(2 * t - x - 1):
-            vec = cell_vr @ vec
-        vec = st.T_rho(O2) @ vec
-        for _ in range(x):
-            vec = cell @ vec
+        val = _state_columns(state, x + 2, {1: O, 2 * x + 2: O2})
     else:
-        for _ in range(2 * t - 1):
-            vec = cell @ vec
-        vec = st.T_v() @ vec
-        vec = st.T_rho(O2) @ vec
-        for _ in range(x - 2 * t):
-            vec = cell @ vec
-        vec = st.T_v(O) @ vec
-        vec = st.T_rho() @ vec
-        for _ in range(2 * t - 1):
-            vec = cell @ vec
-    val = complex(st.K_L @ vec)
+        st = TransferStack(ts, state)
+        val = _columns(st.K_L, st.T, 2 * t + x, {4 * t - 1: O, 2 * x: O2}, st.K_R)
     if not connected:
         return val
     e1 = expectation(ts, O, t, state, x=0.0)
@@ -440,45 +403,53 @@ def two_point(ts, O, O2, x, t, state: MPSState, connected=False) -> complex:
 
 
 def _entropy_from_rdm(M, alpha) -> float:
-    M = M / np.trace(M)
+    tr = np.trace(M)
+    if not np.isfinite(tr) or tr == 0:
+        raise FloatingPointError(f"reduced density matrix has trace {tr:.3e}")
+    M = M / tr
     vals = np.linalg.eigvalsh((M + M.conj().T) / 2)
     vals = np.clip(vals.real, 0.0, None)
     return float(np.log(float((vals ** alpha).sum())) / (1 - alpha))
 
 
+def _renyi_program(l, n):
+    """(kind, open) columns of a 2l-site block after n half steps.
+
+    With k = min(l, n): k (rho*, v), l - k (rho*, v*), n - k (rho, v) and
+    k (rho, v*) cells, where * marks an open column (a leg of the block).
+    """
+    k = min(l, n)
+    return ([("rho", True), ("v", False)] * k + [("rho", True), ("v", True)] * (l - k)
+            + [("rho", False), ("v", False)] * (n - k) + [("rho", False), ("v", True)] * k)
+
+
 def reduced_density_matrix(ts, state, l, t, memory_cap=2 ** 26) -> np.ndarray:
-    """The rotated reduced density matrix of a 2l-qudit block (late time l <= 2t)."""
-    n = _half_steps(t)
+    """The rotated reduced density matrix of a 2l-qudit block, at every (l, t).
+
+    `_renyi_program(l, 2t)` on one copy with the open columns' legs kept: the
+    program is split where each half holds l open columns and each half is
+    contracted from its boundary.  Rows are the ket legs and columns the bra
+    legs of the open columns, in program order.
+    """
     dr, dv = ts.d_rho, ts.d_v
     if (dr * dv) ** (2 * l) > memory_cap:
         raise MemoryError("reduced density matrix exceeds the memory cap")
-    if 2 * t < l:
-        raise ValueError("matrix form only in the late-time regime l <= 2t")
     st = TransferStack(ts, state)
     D = st.dim
-    open_rho = st.T_open("rho")        # [b, a, L, R]
-    open_v = st.T_open("v")            # [j, i, L, R]
-    Tv, Tr = st.T_v(), st.T_rho()
-    left = st.K_L.reshape(1, D)
-    for _ in range(l):
-        left = np.einsum("oL,baLR->obaR", left, open_rho, optimize=True)
-        left = left.reshape(-1, D) @ Tv
-        left = left.reshape(-1, D)
-    cell = st.cell()
-    mid = np.linalg.matrix_power(cell, n - l)
-    left = left @ mid
-    right = st.K_R.reshape(D, 1)
-    for _ in range(l):
-        right = np.einsum("jiLR,Ro->Ljio", open_v, right.reshape(D, -1), optimize=True)
-        right = Tr @ right.reshape(D, -1)
-    block = left @ right.reshape(D, -1)
-    # left legs: (b1, a1, ..., bl, al); right legs (outer to inner): (j_l, i_l, ..., j_1, i_1)
-    M = block.reshape((dr, dr) * l + (dv, dv) * l)
-    perm = [2 * k + 1 for k in range(l)]                                   # a_k
-    perm += [2 * l + 2 * (l - 1 - k) + 1 for k in range(l)]                # i_k
-    perm += [2 * k for k in range(l)]                                      # b_k
-    perm += [2 * l + 2 * (l - 1 - k) for k in range(l)]                    # j_k
-    M = np.transpose(M, perm)
+    program = _renyi_program(l, _half_steps(t))
+    split = int(np.searchsorted(np.cumsum([0] + [is_open for _, is_open in program]), l))
+    left = st.K_L.reshape(1, D)                 # [open legs, cut]
+    for kind, is_open in program[:split]:
+        left = (left @ st._open[kind].reshape(D, -1)).reshape(-1, D) if is_open \
+            else left @ st.T(kind)
+    right = st.K_R.reshape(D, 1)                # [cut, open legs]
+    for kind, is_open in reversed(program[split:]):
+        right = (st._open[kind].reshape(-1, D) @ right).reshape(D, -1) if is_open \
+            else st.T(kind) @ right
+    # one (bra, ket) leg pair per open column, in program order
+    dims = [dr if kind == "rho" else dv for kind, is_open in program if is_open]
+    M = (left @ right).reshape([d for d in dims for _ in range(2)])
+    M = M.transpose(list(range(1, 4 * l, 2)) + list(range(0, 4 * l, 2)))
     return M.reshape(dr ** l * dv ** l, dr ** l * dv ** l)
 
 
@@ -488,36 +459,8 @@ def renyi_small(ts, state, l, t, alpha, memory_cap=2 ** 26) -> float:
         raise ValueError("alpha must be an integer >= 2")
     if _half_steps(t) == 0:
         return 0.0
-    if 2 * t < l:
-        return _renyi_small_window(ts, state, l, t, alpha)
     M = reduced_density_matrix(ts, state, l, t, memory_cap)
     return _entropy_from_rdm(M, alpha)
-
-
-def _renyi_small_window(ts, state, l, t, alpha) -> float:
-    """Early-time branch: dense evolution of a lightcone-padded open window."""
-    from . import oracle as orc
-
-    if ts.d_rho != ts.d_v:
-        raise ValueError("window fallback needs d_rho = d_v")
-    if state.bond_dim != 1:
-        raise ValueError("window fallback supports product states")
-    pad_cells = int(np.ceil(t)) + 1
-    n_sites = 2 * l + 4 * pad_cells
-    circ = orc.DenseCircuit(L=(n_sites + 1) // 2, d=ts.d_rho, gate=ts.gate_matrix,
-                            obc=True, sites=n_sites,
-                            amplitude_cap=max(orc.DEFAULT_AMPLITUDE_CAP,
-                                              ts.d_rho ** n_sites))
-    rho_vec = state.rho_site.reshape(-1)
-    v_vec = state.v_site.reshape(-1)
-    site_vecs = [(v_vec if k % 2 == 0 else rho_vec) for k in range(n_sites)]
-    psi = orc.product_state(circ, site_vecs)
-    psit = orc.evolve(circ, psi, t)
-    # the engine block starts on a rho leg of the time-t lattice: odd site at
-    # integer t, even site after an odd number of layers
-    offset = 2 * pad_cells + (1 if _half_steps(t) % 2 == 0 else 0)
-    rdm = orc.reduced_density_matrix(circ, psit, 2 * l, offset=offset)
-    return _entropy_from_rdm(rdm, alpha)
 
 
 class ReplicaChannel:
@@ -563,48 +506,34 @@ class ReplicaChannel:
         return (v.reshape(-1, d).T if primed else v).reshape(-1)
 
 
-def _replica_trace(ch: ReplicaChannel, program) -> float:
+def _replica_entropy(ts, state, t, alpha, program) -> float:
+    """H_alpha = log Tr(rho^alpha) / (1 - alpha), the trace by a replica
+    program; zero at t = 0."""
+    if alpha < 2 or int(alpha) != alpha:
+        raise ValueError("alpha must be an integer >= 2")
+    if _half_steps(t) == 0:
+        return 0.0
+    ch = ReplicaChannel(ts, state, alpha)
     vec = ch.boundary("R")
     for kind, primed in reversed(program):
         vec = ch.apply(kind, vec, primed=primed)
     tr = complex(ch.boundary("L") @ vec)
     if abs(tr.imag) > TOL_NUM * max(1.0, abs(tr.real)):
         raise FloatingPointError(f"replica trace has imaginary part {tr.imag:.3e}")
-    return tr.real
+    if tr.real <= 0:
+        raise FloatingPointError(f"replica trace {tr.real:.3e} is not positive")
+    return float(np.log(tr.real) / (1 - alpha))
 
 
 def renyi_replica(ts, state, l, t, alpha) -> float:
     """H_alpha via the replica transfer matrices (product initial states)."""
-    if alpha < 2 or int(alpha) != alpha:
-        raise ValueError("alpha must be an integer >= 2")
-    n = _half_steps(t)
-    if n == 0:
-        return 0.0
-    ch = ReplicaChannel(ts, state, alpha)
-    program = []
-    if l <= 2 * t:
-        program += [("rho", True), ("v", False)] * l
-        program += [("rho", False), ("v", False)] * (n - l)
-        program += [("rho", False), ("v", True)] * l
-    else:
-        program += [("rho", True), ("v", False)] * n
-        program += [("rho", True), ("v", True)] * (l - n)
-        program += [("rho", False), ("v", True)] * n
-    tr = _replica_trace(ch, program)
-    return float(np.log(tr) / (1 - alpha))
+    return _replica_entropy(ts, state, t, alpha, _renyi_program(l, _half_steps(t)))
 
 
 def renyi_half_chain(ts, state, t, alpha) -> float:
     """H_alpha of the semi-infinite right half chain."""
-    if alpha < 2 or int(alpha) != alpha:
-        raise ValueError("alpha must be an integer >= 2")
-    n = _half_steps(t)
-    if n == 0:
-        return 0.0
-    ch = ReplicaChannel(ts, state, alpha)
-    program = [("rho", True), ("v", False)] * n
-    tr = _replica_trace(ch, program)
-    return float(np.log(tr) / (1 - alpha))
+    program = [("rho", True), ("v", False)] * _half_steps(t)
+    return _replica_entropy(ts, state, t, alpha, program)
 
 
 def equilibration(ts, state, tol=TOL_NUM):

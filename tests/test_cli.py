@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from hopfbrick.cli import main
+import pytest
+
+from hopfbrick.cli import _initial_state, _single_site_operator, main
 
 
 def run_cli(args):
@@ -83,6 +85,34 @@ def test_run_rejects_state_outside_subspace(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert run_cli(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("label", ["e0", "e4", "e40", "e123"])
+def test_bad_operator_label_raises(label):
+    # indices outside 1..d and names longer than two digits are rejected
+    with pytest.raises(ValueError):
+        _single_site_operator(label, 3)
+
+
+@pytest.mark.parametrize("label", ["0", "4", "14"])
+def test_bad_site_label_raises(label):
+    with pytest.raises(ValueError):
+        _initial_state(label, 3)
+
+
+def test_run_records_bad_operator_label(tmp_path, capsys):
+    config = {
+        "model": "zoo:fibonacci",
+        "initial_state": "3",
+        "quantities": [{"name": "expectation", "O": "e4", "label": "q", "t": [1]}],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    run_cli(["run", str(cfg), "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert "outside 1..3" in manifest["errors"][0]["error"]
+    assert (tmp_path / "o" / "q.csv").read_text().strip().count("\n") == 0
 
 
 def test_run_oracle_check_columns(tmp_path, capsys):

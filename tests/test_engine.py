@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -128,6 +131,43 @@ def test_expectation_mps_initial_state(d3_ts):
         assert abs(eng - ref) < 1e-10, (t, eng, ref)
 
 
+def test_two_point_t0_mps_initial_state(d3_ts):
+    # bond-3 MPS at t = 0: a v-site operator at 0 and a rho-site operator at
+    # x + 1/2 against a dense environment-weighted window contraction
+    rng = np.random.default_rng(3)
+    Ar = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    Av = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    state = mpo.MPSState(rho_site=Ar, v_site=Av)
+    lam_l, lam_r = state.environments()
+    D = state.bond_dim
+    L = lam_l.reshape(D, D)
+    R = lam_r.reshape(D, D)
+    O, O2 = np.diag([1.0, -1.0]), np.diag([1.0, 0.0])
+
+    def dense_window_value(x):
+        # x + 2 whole cells from a rho site: O on site 1, O2 on site 2x + 2
+        n_sites = 2 * x + 4
+        psi = np.eye(D, dtype=complex)[:, None, :]         # psi[m, sigmas, n]
+        for k in range(n_sites):
+            A = state.rho_site if k % 2 == 0 else state.v_site
+            psi = np.einsum("mpn,qnk->mpqk", psi, A).reshape(D, -1, D)
+        ops = [np.eye(2)] * n_sites
+        ops[1], ops[2 * x + 2] = O, O2
+        acted = np.einsum("ab,mbn->man", reduce(np.kron, ops), psi)
+        num = np.einsum("mM,man,MaN,nN->", L, acted, psi.conj(), R)
+        den = np.einsum("mM,man,MaN,nN->", L, psi, psi.conj(), R)
+        return num / den
+
+    for x in (0, 1, 2):
+        eng = mpo.two_point(d3_ts, O, O2, x, 0, state)
+        ref = dense_window_value(x)
+        assert abs(eng - ref) < 1e-10, (x, eng, ref)
+        e1 = mpo.expectation(d3_ts, O, 0, state, x=0.0)
+        e2 = mpo.expectation(d3_ts, O2, 0, state, x=x + 0.5)
+        conn = mpo.two_point(d3_ts, O, O2, x, 0, state, connected=True)
+        assert abs(conn - (ref - e1 * e2)) < 1e-10
+
+
 def test_environments_reject_nilpotent_transfer():
     # every product of two site matrices vanishes: leading eigenvalue zero
     A = np.zeros((2, 2, 2))
@@ -224,6 +264,33 @@ def test_renyi_zero_at_t0_and_early_window(fib_ts, fib_state):
     hs = mpo.renyi_small(fib_ts, fib_state, 3, 1, 2)
     hr = mpo.renyi_replica(fib_ts, fib_state, 3, 1, 2)
     assert abs(hs - hr) < 1e-8
+
+
+def test_renyi_small_leaves_oracle_out():
+    # early-time block entropies (l > 2t) are engine programs: evaluating
+    # them never loads the dense oracle
+    code = ("import sys\n"
+            "from hopfbrick import build_tensors, mpo, zoo\n"
+            "for name, vec, (l, t, a) in (('dihedral-3', [1, 1], (3, 1, 4)),\n"
+            "                             ('fibonacci', [0, 0, 1], (3, 1, 2))):\n"
+            "    state = mpo.MPSState.product(vec, vec)\n"
+            "    mpo.renyi_small(build_tensors(zoo.model(name)), state, l, t, a)\n"
+            "print('hopfbrick.oracle' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_renyi_rejects_vanishing_trace(fib_ts):
+    # |11> lies outside the Fibonacci solvable subspace: every block trace
+    # vanishes, which must raise instead of returning inf or failing to converge
+    bad = mpo.MPSState.product([1, 0, 0], [1, 0, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, args in ((mpo.renyi_replica, (2, 1, 2)), (mpo.renyi_half_chain, (1, 2)),
+                         (mpo.renyi_small, (2, 1, 2)), (mpo.renyi_small, (3, 1, 2))):
+            with pytest.raises(FloatingPointError):
+                fn(fib_ts, bad, *args)
 
 
 def test_renyi_half_chain_linear_growth(fib_ts, fib_state):
@@ -418,8 +485,10 @@ def test_stationary_value_via_transfer_projector(fib_ts, fib_state):
 
 
 def test_renyi_memory_cap(fib_ts, fib_state):
-    with pytest.raises(MemoryError):
-        mpo.renyi_small(fib_ts, fib_state, 8, 8, 2, memory_cap=2 ** 20)
+    # the cap holds at late (l <= 2t) and early (l > 2t) times alike
+    for t in (8, 1):
+        with pytest.raises(MemoryError):
+            mpo.renyi_small(fib_ts, fib_state, 8, t, 2, memory_cap=2 ** 20)
 
 
 def test_oracle_quantities_batch(fib_ts):
