@@ -37,6 +37,8 @@ def _fmt(x: float) -> str:
 def _load_model(name: str, tol=TOL_ALG):
     """Resolve 'zoo:<name>' or a JSON algebra-spec path into a RepPair."""
     if name.startswith("zoo:"):
+        if name[4:] not in zoo.MODELS:
+            raise AlgebraSpecError(f"unknown zoo model {name[4:]!r}; have {sorted(zoo.MODELS)}")
         return zoo.model(name[4:])
     doc = json.loads(Path(name).read_text())
     A = load_algebra(doc, tol=tol)
@@ -206,12 +208,20 @@ def _eval_point(pair, ts, state, q, point):
 
 
 def cmd_run(args) -> int:
-    config = json.loads(Path(args.config).read_text())
+    try:
+        config = json.loads(Path(args.config).read_text())
+        missing = [k for k in ("model", "initial_state", "quantities")
+                   if not isinstance(config, dict) or k not in config]
+        if missing:
+            raise ValueError(f"config lacks {', '.join(missing)}")
+        pair = _load_model(config["model"], tol=args.tol)
+        ts = build_tensors(pair)
+        state = _initial_state(config["initial_state"], ts.d_v)
+    except (ValueError, AlgebraSpecError, json.JSONDecodeError, OSError) as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out or config.get("output", "results"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    pair = _load_model(config["model"], tol=args.tol)
-    ts = build_tensors(pair)
-    state = _initial_state(config["initial_state"], ts.d_v)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     rng = np.random.default_rng(seed)
     from .algebra import tier_chain

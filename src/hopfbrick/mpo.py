@@ -28,6 +28,8 @@ operator insertions, so C(1,1,x,t) = F(1,1,x,t) = 1 exactly.
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,8 @@ from .algebra import canonical_power, exponent, tier_chain
 from .tensors import SolvableTensorSet, build_projectors
 
 TOL_NUM = 1e-9
+MEMORY_CAP = 2 ** 26        # complex entries one engine intermediate may hold
+RANK_CUT = 1e-12            # relative singular-value cut of the column factors
 
 
 def leg_of(x, t) -> str:
@@ -96,6 +100,7 @@ class MPSState:
     v_site: np.ndarray
     translation_invariant: bool = True
     _env: tuple | None = field(default=None, repr=False)
+    _stacks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.rho_site = np.asarray(self.rho_site, dtype=complex)
@@ -149,6 +154,17 @@ class MPSState:
             self._env = (left, right)
         return self._env
 
+    def transfer_stack(self, ts) -> "TransferStack":
+        """The TransferStack of `ts` on this state, built on first use.
+
+        Keyed by the tensor set's identity; the stack holds `ts`, so that id
+        cannot be reused while the entry lives.
+        """
+        stack = self._stacks.get(id(ts))
+        if stack is None:
+            stack = self._stacks[id(ts)] = TransferStack(ts, self)
+        return stack
+
     def pair_rdm(self, first, second):
         """Normalized two-site reduced density matrix of adjacent sites."""
         lam_l, lam_r = self.environments()
@@ -184,38 +200,64 @@ class TransferStack:
     psi-bond), flattened.  K_L carries (counit, conj counit, Lambda_L) and
     pairs with output slots; K_R carries (unit, conj unit, Lambda_R).  The
     traced columns T(kind) are built once; T(kind, op) inserts `op` between
-    the column's ket and bra.
+    the column's ket and bra.  Engine quantities take the stack from
+    `MPSState.transfer_stack`, so it is built once per state.
     """
 
     def __init__(self, ts: SolvableTensorSet, state: MPSState):
         self.ts = ts
-        self.state = state
+        # a weak proxy: the state owns its cached stacks, and a strong
+        # reference back would keep both alive until a cyclic collection
+        self.state = weakref.proxy(state)
         lam_l, lam_r = state.environments()
         d = ts.algebra.dim
         Dpsi = state.bond_dim
         self.dim = d * d * Dpsi * Dpsi
-        R, V = ts.rho_tensor, ts.v_tensor
-        Ar, Av = state.rho_site, state.v_site
-        # open columns [left(out) group, bra-down, ket-up, right(arg) group]
-        self._open = {
-            "rho": np.einsum("apxy,pmn,BqXY,qMN->yYmMBaxXnN", R, Ar,
-                             R.conj(), Ar.conj(), optimize=True
-                             ).reshape(self.dim, ts.d_rho, ts.d_rho, self.dim),
-            "v": np.einsum("ipxy,pmn,JqXY,qMN->yYmMJixXnN", V, Av,
-                           V.conj(), Av.conj(), optimize=True
-                           ).reshape(self.dim, ts.d_v, ts.d_v, self.dim),
-        }
-        self._traced = {kind: np.einsum("LaaR->LR", col) for kind, col in self._open.items()}
+        # ket half of each column: [out, left A-bond, left psi-bond, right
+        # A-bond, right psi-bond]
+        self._kets = {kind: np.einsum("apxy,pmn->aymxn", W, A)
+                      for kind, W, A in (("rho", ts.rho_tensor, state.rho_site),
+                                         ("v", ts.v_tensor, state.v_site))}
+        self._traced = {kind: self._pair(K, K.conj()) for kind, K in self._kets.items()}
         eps, u = ts.counit_vec, ts.unit_vec
         lamL = lam_l.reshape(Dpsi, Dpsi)
         lamR = lam_r.reshape(Dpsi, Dpsi)
         self.K_L = np.einsum("y,Y,mM->yYmM", eps, eps.conj(), lamL).reshape(-1)
         self.K_R = np.einsum("x,X,nN->xXnN", u, u.conj(), lamR).reshape(-1)
+        self._factors = {}
+
+    def _pair(self, ket, bra):
+        """sum_a ket[a] (x) bra[a] in the cut layout."""
+        out = np.tensordot(ket, bra, axes=([0], [0]))       # [ymxn, YMXN]
+        return out.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(self.dim, self.dim)
 
     def T(self, kind, op=None):
         if op is None:
             return self._traced[kind]
-        return np.einsum("Ba,LBaR->LR", np.asarray(op, dtype=complex), self._open[kind])
+        K = self._kets[kind]
+        # sum_{a, B} op[B, a] K[a] (x) conj(K[B])
+        return self._pair(K, np.tensordot(np.asarray(op, dtype=complex).T, K.conj(), axes=1))
+
+    def open(self, kind):
+        """Column `kind` with its physical legs open: [left group, bra, ket,
+        right group]."""
+        K = self._kets[kind]
+        dp = K.shape[0]
+        return np.einsum("aymxn,BYMXN->yYmMBaxXnN", K, K.conj()).reshape(
+            self.dim, dp, dp, self.dim)
+
+    def factors(self, kind):
+        """(U, V) with T(kind) = U @ V.T, computed once per stack.
+
+        An SVD whose singular values below RANK_CUT * sigma_max are dropped:
+        the columns are exactly low rank (34 of 169 for Fibonacci), so the cut
+        removes round-off only.
+        """
+        if kind not in self._factors:
+            u, s, vh = np.linalg.svd(self._traced[kind])
+            r = int(np.count_nonzero(s > RANK_CUT * s[0]))
+            self._factors[kind] = (u[:, :r] * s[:r], vh[:r].T)
+        return self._factors[kind]
 
     def T_rho(self, op=None):
         return self.T("rho", op)
@@ -372,7 +414,7 @@ def expectation(ts, O, t, state: MPSState, x=0.0, leg=None) -> complex:
     n = _half_steps(t)
     if n == 0:
         return _state_columns(state, 1, {1 if leg == "v" else 0: O})
-    st = TransferStack(ts, state)
+    st = state.transfer_stack(ts)
     return _columns(st.K_L, st.T, n, {2 * n - 1 if leg == "v" else 0: O}, st.K_R)
 
 
@@ -390,7 +432,7 @@ def two_point(ts, O, O2, x, t, state: MPSState, connected=False) -> complex:
     if t == 0:
         val = _state_columns(state, x + 2, {1: O, 2 * x + 2: O2})
     else:
-        st = TransferStack(ts, state)
+        st = state.transfer_stack(ts)
         val = _columns(st.K_L, st.T, 2 * t + x, {4 * t - 1: O, 2 * x: O2}, st.K_R)
     if not connected:
         return val
@@ -423,7 +465,7 @@ def _renyi_program(l, n):
             + [("rho", False), ("v", False)] * (n - k) + [("rho", False), ("v", True)] * k)
 
 
-def reduced_density_matrix(ts, state, l, t, memory_cap=2 ** 26) -> np.ndarray:
+def reduced_density_matrix(ts, state, l, t, memory_cap=MEMORY_CAP) -> np.ndarray:
     """The rotated reduced density matrix of a 2l-qudit block, at every (l, t).
 
     `_renyi_program(l, 2t)` on one copy with the open columns' legs kept: the
@@ -434,17 +476,18 @@ def reduced_density_matrix(ts, state, l, t, memory_cap=2 ** 26) -> np.ndarray:
     dr, dv = ts.d_rho, ts.d_v
     if (dr * dv) ** (2 * l) > memory_cap:
         raise MemoryError("reduced density matrix exceeds the memory cap")
-    st = TransferStack(ts, state)
+    st = state.transfer_stack(ts)
     D = st.dim
     program = _renyi_program(l, _half_steps(t))
+    opened = {kind: st.open(kind) for kind in ("rho", "v")}
     split = int(np.searchsorted(np.cumsum([0] + [is_open for _, is_open in program]), l))
     left = st.K_L.reshape(1, D)                 # [open legs, cut]
     for kind, is_open in program[:split]:
-        left = (left @ st._open[kind].reshape(D, -1)).reshape(-1, D) if is_open \
+        left = (left @ opened[kind].reshape(D, -1)).reshape(-1, D) if is_open \
             else left @ st.T(kind)
     right = st.K_R.reshape(D, 1)                # [cut, open legs]
     for kind, is_open in reversed(program[split:]):
-        right = (st._open[kind].reshape(-1, D) @ right).reshape(D, -1) if is_open \
+        right = (opened[kind].reshape(-1, D) @ right).reshape(D, -1) if is_open \
             else st.T(kind) @ right
     # one (bra, ket) leg pair per open column, in program order
     dims = [dr if kind == "rho" else dv for kind, is_open in program if is_open]
@@ -453,7 +496,7 @@ def reduced_density_matrix(ts, state, l, t, memory_cap=2 ** 26) -> np.ndarray:
     return M.reshape(dr ** l * dv ** l, dr ** l * dv ** l)
 
 
-def renyi_small(ts, state, l, t, alpha, memory_cap=2 ** 26) -> float:
+def renyi_small(ts, state, l, t, alpha, memory_cap=MEMORY_CAP) -> float:
     """H_alpha of a 2l-qudit block via the explicit reduced density matrix."""
     if alpha < 2 or int(alpha) != alpha:
         raise ValueError("alpha must be an integer >= 2")
@@ -464,17 +507,32 @@ def renyi_small(ts, state, l, t, alpha, memory_cap=2 ** 26) -> float:
 
 
 class ReplicaChannel:
-    """Matrix-free application of the alpha-replica transfer operators.
+    """The alpha-replica transfer operators, applied in the rank-r pair basis.
 
-    The virtual space has 2*alpha slots of dimension d_A, slot 2r the ket and
+    The replica space has 2*alpha slots of dimension d_A, slot 2r the ket and
     slot 2r+1 the bra of replica r (product states only).  An unprimed step
-    applies the (d_A^2, d_A^2) column operator to every slot pair (2r, 2r+1).
-    A primed step pairs each bra with the next replica's ket: it applies the
-    ket<->bra transpose of the column operator to the pairs
-    (2r+1, 2r+2 mod 2*alpha), i.e. the column operator conjugated by the
-    one-slot translation of the replica ring.  A step walks the ring once,
-    acting on the leading pair and moving it to the back; the primed walk
-    starts at slot 1.
+    applies a column operator T to every slot pair (2r, 2r+1); a primed step
+    applies its ket<->bra transpose to the pairs (2r+1, 2r+2 mod 2*alpha).
+    Each column operator factors exactly as T = U V^T with rank r (34 of 169
+    for Fibonacci), so after a step the replica vector is
+    sum_k c[k_0, ..., k_{alpha-1}] (x)_r U[:, k_r] over that step's pairs.
+    What is carried is the alpha-leg tensor c of shape (r,) * alpha, in the
+    basis of the operator applied last; `apply` maps it to the basis of the
+    operator it applies.
+
+    - Same pairing (unprimed after unprimed, primed after primed): the
+      (r2, r1) matrix V2^T U1 on each of the alpha legs.
+    - Pairing switch: the old pairs' U and the new pairs' V overlap on
+      shifted slots, a ring.  An opening contraction expands one leg into its
+      two slots; then, alpha - 1 times, the next leg is expanded by U and the
+      pending slot with its neighbour is contracted into a new leg by V; a
+      closing contraction turns the last two slots into the last new leg.
+      The largest intermediate has d_A^2 r^(alpha-2) max(r, d_A^2) entries.
+
+    Both boundaries are products over slots, so they are rank-one in either
+    pairing: `start` returns the right boundary as c = [1] and `trace`
+    contracts c with the left one.  The step between two bases is built once
+    per channel, on first use.
     """
 
     def __init__(self, ts, state, alpha):
@@ -482,28 +540,104 @@ class ReplicaChannel:
             raise ValueError("replica transfer matrices support product states")
         self.alpha = int(alpha)
         d = self.d = ts.algebra.dim
-        st = TransferStack(ts, state)
-        self.ops = {}
-        for kind in ("rho", "v"):
-            T = st.T(kind)                  # [(ket, bra), (ket_in, bra_in)]
-            self.ops[kind, False] = T
-            self.ops[kind, True] = T.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, -1)
-        self.kl_pair = np.kron(ts.counit_vec, ts.counit_vec.conj())
+        st = state.transfer_stack(ts)
+        self._uv = {kind: [f.reshape(d, d, -1) for f in st.factors(kind)]
+                    for kind in ("rho", "v")}
+        r = max(U.shape[2] for U, _ in self._uv.values())
+        if d * d * r ** (self.alpha - 2) * max(r, d * d) > MEMORY_CAP:
+            raise MemoryError(f"alpha = {self.alpha} replica steps at rank {r} exceed "
+                              f"the memory cap of {MEMORY_CAP} entries")
         self.kr_pair = np.kron(ts.unit_vec, ts.unit_vec.conj())
+        self.kl_pair = np.kron(ts.counit_vec, ts.counit_vec.conj())
+        self._steps = {}
+        self._basis = None
+        self._work = {}
 
-    def boundary(self, side):
-        v = self.kl_pair if side == "L" else self.kr_pair
-        out = v
-        for _ in range(self.alpha - 1):
-            out = np.kron(out, v)
-        return out
+    def start(self):
+        """The right boundary, a rank-one tensor."""
+        self._basis = "R"
+        return np.ones((1,) * self.alpha, dtype=complex)
 
     def apply(self, kind, vec, primed=False):
-        d, op = self.d, self.ops[kind, primed]
-        v = vec.reshape(d, -1).T if primed else vec
-        for _ in range(self.alpha):
-            v = v.reshape(d * d, -1).T @ op.T
-        return (v.reshape(-1, d).T if primed else v).reshape(-1)
+        """The column operator (kind, primed) on `vec`, which is in the basis
+        of the previous `apply` (or `start`); returns the new basis tensor."""
+        key = (self._basis, (kind, primed))
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = self._build(*key)
+        self._basis = (kind, primed)
+        return step(vec)
+
+    def trace(self, vec) -> complex:
+        """<L| replica vector>, with `vec` in the basis of the last `apply`."""
+        U = self._uv[self._basis[0]][0]
+        z = self.kl_pair @ U.reshape(self.d * self.d, -1)
+        return complex(self._same(z[:, None])(vec).reshape(()))
+
+    def _build(self, src, dst):
+        kind, primed = dst
+        B = self._uv[kind][1]                           # [ket, bra, k']
+        if src == "R":
+            # the boundary is the same product in either pairing
+            return self._same((self.kr_pair @ B.reshape(self.d * self.d, -1))[None, :])
+        A = self._uv[src[0]][0]                         # [ket, bra, k]
+        if src[1] == primed:
+            return self._same(np.tensordot(A, B, axes=([0, 1], [0, 1])))
+        return self._switch(A, B, to_primed=primed)
+
+    def _same(self, Mt):
+        """c -> (M (x) ... (x) M) c for Mt = M^T of shape (r1, r2): one GEMM
+        per leg, each moving the leading leg to the back."""
+        alpha = self.alpha
+        r1, r2 = Mt.shape
+
+        def step(c):
+            for _ in range(alpha):
+                c = c.reshape(r1, -1).T @ Mt
+            return c.reshape((r2,) * alpha)
+
+        return step
+
+    def _switch(self, A, B, to_primed):
+        """The pairing switch on a ring of slots s_0 .. s_{2 alpha - 1} whose
+        old pairs (s_2r, s_2r+1) carry Ar[s_2r, s_2r+1, k_r] and new pairs
+        (s_2r+1, s_2r+2) carry Br[s_2r+1, s_2r+2, k'_r].  Unprimed -> primed:
+        s_j is slot j.  Primed -> unprimed: s_j is slot j - 1, so old pair 0
+        is the last leg of c, and the opening contraction takes that one."""
+        alpha, d = self.alpha, self.d
+        r1, r2 = A.shape[2], B.shape[2]
+        Ar, Br = (A, B.transpose(1, 0, 2)) if to_primed else (A.transpose(1, 0, 2), B)
+        opening = np.ascontiguousarray(Ar.transpose(1, 2, 0))      # [s_1, k, s_0]
+        expand = np.ascontiguousarray(Ar).reshape(d * d, r1)      # [(s, s'), k]
+        contract = np.ascontiguousarray(Br).reshape(d * d, r2)    # [(s, s'), k']
+        pool = self._work           # not self, which stores this step: no cycle
+
+        def step(c):
+            c = c.reshape(r1, -1).T if to_primed else c.reshape(-1, r1)
+            # [k_0, rest] -> [s_1, rest, s_0]
+            x = np.matmul(c, opening, out=_workspace(pool, 0, (d, c.shape[0], d)))
+            for _ in range(alpha - 1):
+                # [s_2j-1, k_j, rest] -> [s_2j-1, s_2j, s_2j+1, rest]
+                #                     -> [s_2j+1, rest, k'_j-1]
+                x = x.reshape(d, r1, -1)
+                x = np.matmul(expand, x, out=_workspace(pool, 1, (d, d * d, x.shape[2])))
+                x = x.reshape(d * d, -1).T
+                x = np.matmul(x, contract, out=_workspace(pool, 2, (x.shape[0], r2)))
+            # [s_2alpha-1, s_0, k'_0 ..] -> [k'_0 .., k'_alpha-1]
+            return (x.reshape(d * d, -1).T @ contract).reshape((r2,) * alpha)
+
+        return step
+
+
+def _workspace(pool, site, shape):
+    """An output array for one GEMM site of the replica steps, carved from a
+    buffer kept in `pool`: intermediates are large, and fresh ones cost page
+    faults on every step."""
+    n = math.prod(shape)
+    buf = pool.get(site)
+    if buf is None or buf.size < n:
+        buf = pool[site] = np.empty(n, dtype=complex)
+    return buf[:n].reshape(shape)
 
 
 def _replica_entropy(ts, state, t, alpha, program) -> float:
@@ -514,15 +648,31 @@ def _replica_entropy(ts, state, t, alpha, program) -> float:
     if _half_steps(t) == 0:
         return 0.0
     ch = ReplicaChannel(ts, state, alpha)
-    vec = ch.boundary("R")
+    vec = ch.start()
+    # the vector is kept at unit norm, its scale carried as a logarithm: long
+    # programs shrink it by e^(-(alpha - 1) H), into the subnormal range
+    log_scale = 0.0
     for kind, primed in reversed(program):
         vec = ch.apply(kind, vec, primed=primed)
-    tr = complex(ch.boundary("L") @ vec)
+        norm = np.linalg.norm(vec)
+        if not norm > 0:
+            raise FloatingPointError("replica vector vanishes")
+        vec /= norm
+        log_scale += np.log(norm)
+    tr = ch.trace(vec)
     if abs(tr.imag) > TOL_NUM * max(1.0, abs(tr.real)):
         raise FloatingPointError(f"replica trace has imaginary part {tr.imag:.3e}")
     if tr.real <= 0:
         raise FloatingPointError(f"replica trace {tr.real:.3e} is not positive")
-    return float(np.log(tr.real) / (1 - alpha))
+    h = float((np.log(tr.real) + log_scale) / (1 - alpha))
+    # H_alpha of a normalized state is at most the log of its open legs'
+    # dimension; beyond it the trace is the round-off of a vanishing one
+    h_max = sum(np.log(ts.d_rho if kind == "rho" else ts.d_v) for kind, is_open in program
+                if is_open)
+    if h > h_max + TOL_NUM * max(1.0, h_max):
+        raise FloatingPointError(f"replica entropy {h:.3e} exceeds the bound {h_max:.3e} "
+                                 "of a normalized state")
+    return h
 
 
 def renyi_replica(ts, state, l, t, alpha) -> float:
@@ -541,7 +691,7 @@ def equilibration(ts, state, tol=TOL_NUM):
 
     Equilibration of an L_A-cell block happens at t* = L_A/2 + O(log 1/|l1|).
     """
-    st = TransferStack(ts, state)
+    st = state.transfer_stack(ts)
     vals = np.linalg.eigvals(st.cell())
     vals = vals[np.argsort(-np.abs(vals))]
     radius = float(np.abs(vals[0]))

@@ -115,6 +115,23 @@ def test_run_records_bad_operator_label(tmp_path, capsys):
     assert (tmp_path / "o" / "q.csv").read_text().strip().count("\n") == 0
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({"model": "zoo:fibonacci", "initial_state": "4", "quantities": []}),
+    json.dumps({"model": "zoo:no-such-model", "initial_state": "3", "quantities": []}),
+    json.dumps({"model": "zoo:fibonacci", "quantities": []}),
+    json.dumps(["zoo:fibonacci"]),
+    "{not json",
+], ids=["bad-state-label", "unknown-model", "missing-key", "not-an-object", "not-json"])
+def test_run_bad_input_exits_cleanly(tmp_path, capsys, text):
+    # bad set-up input is one line on stderr and exit code 2, never a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error:") and err.count("\n") == 1
+    assert run_cli(["run", str(tmp_path / "missing.json")]) == 2
+
+
 def test_run_oracle_check_columns(tmp_path, capsys):
     config = {
         "model": "zoo:fibonacci",

@@ -85,6 +85,17 @@ def test_d3_expectation_vs_oracle(d3_ts, d3_state, t):
     assert abs(eng - ora) < 1e-12
 
 
+@pytest.mark.parametrize("t", [0.5, 1, 1.5])
+def test_d3_expectation_non_diagonal_operator(d3_ts, d3_state, t):
+    # a complex off-diagonal operator tells O from its transpose in the column
+    circ = orc.DenseCircuit.from_tensor_set(d3_ts, L=3)
+    psi0 = orc.product_state(circ, [np.array([1, 1]) / np.sqrt(2)])
+    O = np.array([[0.3, 0.2 - 0.5j], [0.2 + 0.5j, -0.1]])
+    eng = mpo.expectation(d3_ts, O, t, d3_state, x=0.0)
+    ora = orc.oracle_expectation(circ, psi0, O, 0.0, t)
+    assert abs(eng - ora) < 1e-12
+
+
 def test_expectation_identity_any_time(fib_ts, fib_state):
     for t in (0, 0.5, 3, 7.5):
         assert abs(mpo.expectation(fib_ts, np.eye(3), t, fib_state) - 1) < 1e-9
@@ -244,7 +255,8 @@ def test_renyi_three_way_d3(d3_ts, d3_state, l, t, alpha):
         assert abs(hs - ho) < 1e-8
 
 
-@pytest.mark.parametrize("l,t,alpha", [(1, 1, 2), (1, 1.5, 2), (2, 1, 2), (1, 1, 3)])
+@pytest.mark.parametrize("l,t,alpha", [(1, 1, 2), (1, 1.5, 2), (2, 1, 2), (1, 1, 3),
+                                       (1, 1, 4)])
 def test_renyi_three_way_fib(fib_ts, fib_state, l, t, alpha):
     hs = mpo.renyi_small(fib_ts, fib_state, l, t, alpha)
     hr = mpo.renyi_replica(fib_ts, fib_state, l, t, alpha)
