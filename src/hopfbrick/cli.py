@@ -10,6 +10,10 @@ Subcommands:
 Result CSVs carry columns (model, quantity, x, t, alpha, l, re, im) with
 17-significant-digit decimals; `run` also writes a manifest with the config
 hash, library version, and tolerances, sufficient to re-run the batch.
+
+Exit codes: 0 success; 1 a check failed (verify), the initial state is
+outside the solvable subspace or a point was skipped (run, after every CSV
+and the manifest are written); 2 unreadable or invalid input.
 """
 
 from __future__ import annotations
@@ -296,6 +300,9 @@ def cmd_run(args) -> int:
         print(f"wrote {path} ({len(rows)} rows)")
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
     print(f"wrote {out_dir / 'manifest.json'}")
+    if "errors" in manifest:
+        print(f"{len(manifest['errors'])} point(s) skipped", file=sys.stderr)
+        return 1
     return 0
 
 

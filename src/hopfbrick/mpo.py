@@ -714,7 +714,8 @@ def projector_mpo(ts: SolvableTensorSet):
 
     Axes [bond_left, bond_right, out, in].  The v-site (integer position)
     sits between a Q bond on its left cut and a P bond on its right cut; the
-    rho-site between a P bond (left) and a Q bond (right).
+    rho-site between a P bond (left) and a Q bond (right).  Each bond is cut
+    to its exact rank (Fibonacci: v -> rho 2 of 9, rho -> v 9 of 9).
     """
     if "bialgebra" in tier_chain(ts.algebra.tier):
         return {"v": np.eye(ts.d_v, dtype=complex)[None, None],
@@ -736,7 +737,24 @@ def projector_mpo(ts: SolvableTensorSet):
             for bQ in range(dr):
                 W_r[aP, bP, bP, bQ, aP, bQ] = 1.0
     W_r = W_r.reshape(dr * dr, dr * dr, dr, dr)
+    W_v, W_r = _cut_bond(W_v, W_r)
+    W_r, W_v = _cut_bond(W_r, W_v)
     return {"v": W_v, "rho": W_r}
+
+
+def _cut_bond(left, right):
+    """(left, right) with the bond between them cut to its exact rank: an SVD
+    of `left` over that bond, singular values below RANK_CUT * sigma_max
+    dropped (round-off only), the kept right factor moved into `right`."""
+    b = left.shape[1]
+    u, s, vh = np.linalg.svd(left.transpose(0, 2, 3, 1).reshape(-1, b), full_matrices=False)
+    r = int(np.count_nonzero(s > RANK_CUT * s[0]))
+    if r == b:
+        return left, right
+    bl, _, d_out, d_in = left.shape
+    left = (u[:, :r] * s[:r]).reshape(bl, d_out, d_in, r).transpose(0, 3, 1, 2)
+    return left, np.tensordot(vh[:r], right, axes=1)
+
 
 def _leading_environment(M, tol=TOL_NUM):
     """(lambda, [(l_k, r_k)]) of a channel matrix; pairs are biorthonormal.
@@ -760,140 +778,95 @@ def _leading_environment(M, tol=TOL_NUM):
     return lam, pairs
 
 
-class _MpoLayer:
-    """One operator layer of a trace channel over a site window."""
-
-    def __init__(self, tensors):
-        self.tensors = tensors          # per site: [bl, br, out, in]
-
-    @classmethod
-    def site_operator(cls, dims, where, op):
-        tensors = []
-        for k, d in enumerate(dims):
-            if k == where:
-                tensors.append(np.asarray(op, dtype=complex)[None, None])
-            else:
-                tensors.append(np.eye(d, dtype=complex)[None, None])
-        return cls(tensors)
-
-    @classmethod
-    def heisenberg_rows(cls, hmpo: HeisenbergMPO, window, dagger=False):
-        """The same embedded MPO as three layers: ket row, operator, bra row.
-
-        Splitting the rows keeps every bond at d_A instead of d_A^2, which is
-        what makes the four-row OTOC channel affordable.  Returns the layer
-        list ordered innermost (applied first) to outermost.
-        """
-        ts = hmpo.ts
-        support = hmpo.support()
-        pos_to_col = {round(2 * p): k for k, p in enumerate(support)}
-        kets, bras = [], []
-        dims = []
-        op_where = None
-        for s_idx, p in enumerate(window):
-            key = round(2 * p)
-            if key not in pos_to_col:
-                d = ts.d_v if leg_of(p, 0) == "v" else ts.d_rho
-                dims.append(d)
-                kets.append(np.eye(d, dtype=complex)[None, None])
-                bras.append(np.eye(d, dtype=complex)[None, None])
-                continue
-            k = pos_to_col[key]
-            kind = "rho" if k % 2 == 0 else "v"
-            base = ts.rho_tensor if kind == "rho" else ts.v_tensor
-            dims.append(base.shape[1])
-            # ket row: phys in (down leg) -> internal out (up leg), bonds (y, x)
-            K = np.transpose(base, (3, 2, 0, 1))          # [y, x, up, down]
-            B = np.conj(np.transpose(base, (3, 2, 1, 0)))  # conj row: in = up of ket
-            if k == 0:
-                K = np.einsum("l,lrxy->rxy", ts.counit_vec, K)[None]
-                B = np.einsum("l,lrxy->rxy", ts.counit_vec.conj(), B)[None]
-            if k == hmpo.n_columns - 1:
-                K = np.einsum("lrxy,r->lxy", K, ts.unit_vec)[:, None]
-                B = np.einsum("lrxy,r->lxy", B, ts.unit_vec.conj())[:, None]
-            kets.append(K)
-            bras.append(B)
-            if (hmpo.leg == "v" and k == hmpo.n_columns - 1) or \
-                    (hmpo.leg == "rho" and k == 0):
-                op_where = s_idx
-        op_layer = cls.site_operator(dims, op_where, hmpo.op)
-        ket_layer, bra_layer = cls(kets), cls(bras)
-        if dagger:
-            flip = lambda layer: cls([np.conj(np.swapaxes(W, 2, 3))
-                                      for W in layer.tensors])
-            op_dag = cls.site_operator(dims, op_where, hmpo.op.conj().T)
-            return [flip(bra_layer), op_dag, flip(ket_layer)]
-        return [ket_layer, op_layer, bra_layer]
-
-    @classmethod
-    def projector(cls, ts, window):
-        mats = projector_mpo(ts)
-        tensors = []
-        for p in window:
-            kind = "v" if leg_of(p, 0) == "v" else "rho"
-            tensors.append(mats[kind])
-        return cls(tensors)
+# A trace channel is a list of layers, outermost first; a layer is one MPO
+# tensor [bond_left, bond_right, out, in] per window site.  Single-site
+# operators are multiplied into the site tensor of an adjacent layer.
 
 
-def _sweep_channel(layers, left_vec):
-    """Sweep the per-site trace channel over the window starting from left_vec."""
-    n_layers = len(layers)
-    n_sites = len(layers[0].tensors)
-    vec = left_vec.reshape((left_vec.size,) + (1,) * (n_layers - 1))
-    for s in range(n_sites):
-        tens = [layer.tensors[s] for layer in layers]
-        d_phys = tens[-1].shape[3]
-        acc = None
-        for s0 in range(d_phys):
-            cur = vec
-            for li in range(n_layers - 1, -1, -1):
-                W = tens[li]
-                if li == n_layers - 1:
-                    cur = np.tensordot(cur, W[:, :, :, s0], axes=([li], [0]))
-                else:
-                    cur = np.tensordot(cur, W, axes=([li, cur.ndim - 1], [0, 3]))
-                cur = np.moveaxis(cur, -2, li)      # new bond back in place, phys last
-            part = cur[..., s0]
-            acc = part if acc is None else acc + part
-        vec = acc
-    return vec
-
-
-def _trace_channel_value(layers, left_env, right_env):
-    """Contract Tr[L_n ... L_1] over the window with boundary environments.
-
-    `layers` are ordered outermost-first (L_n first); the physical trace runs
-    per site.  Environments attach to the first layer's bonds (the projector
-    layer); every other layer must begin and end with bond dimension 1.
-    """
-    vec = _sweep_channel(layers, left_env)
-    return complex(vec.reshape(-1) @ right_env)
-
-
-def _window_channel_matrix(layers):
-    """The window contraction as a matrix over the first layer's edge bonds."""
-    b = layers[0].tensors[0].shape[0]
-    rows = []
-    for k in range(b):
-        e = np.zeros(b)
-        e[k] = 1.0
-        rows.append(_sweep_channel(layers, e).reshape(-1))
-    return np.stack(rows)
-
-
-def _pure_cell_channel(ts):
-    """Per-cell (v-site then rho-site) trace channel of the projector MPO."""
+def _projector_row(ts, window):
     mats = projector_mpo(ts)
+    return [mats[leg_of(p, 0)] for p in window]
+
+
+def _fold(row, where, op, inner=False):
+    """`row` with `op` on the out leg of site `where` (on its in leg if
+    `inner`)."""
+    row = list(row)
+    row[where] = row[where] @ op if inner else op @ row[where]
+    return row
+
+
+def _adjoint(row):
+    return [np.conj(np.swapaxes(W, 2, 3)) for W in row]
+
+
+def _heisenberg_rows(hmpo: HeisenbergMPO, window):
+    """The embedded MPO of O(t) as two rows, [bra, ket], with O on the ket
+    row's out leg; the rows of O(t)^dag are [adjoint(ket), adjoint(bra)].
+
+    Splitting the rows keeps every bond at d_A instead of d_A^2, which is
+    what makes the four-row OTOC channel affordable.
+    """
+    ts = hmpo.ts
+    pos_to_col = {round(2 * p): k for k, p in enumerate(hmpo.support())}
+    op_col = hmpo.n_columns - 1 if hmpo.leg == "v" else 0
+    kets, bras = [], []
+    for p in window:
+        k = pos_to_col.get(round(2 * p))
+        if k is None:
+            d = ts.d_v if leg_of(p, 0) == "v" else ts.d_rho
+            kets.append(np.eye(d, dtype=complex)[None, None])
+            bras.append(kets[-1])
+            continue
+        base = ts.rho_tensor if k % 2 == 0 else ts.v_tensor
+        # ket row: phys in (down leg) -> internal out (up leg), bonds (y, x)
+        K = np.transpose(base, (3, 2, 0, 1))          # [y, x, up, down]
+        B = np.conj(np.transpose(base, (3, 2, 1, 0)))  # conj row: in = up of ket
+        if k == 0:
+            K = np.einsum("l,lrxy->rxy", ts.counit_vec, K)[None]
+            B = np.einsum("l,lrxy->rxy", ts.counit_vec.conj(), B)[None]
+        if k == hmpo.n_columns - 1:
+            K = np.einsum("lrxy,r->lxy", K, ts.unit_vec)[:, None]
+            B = np.einsum("lrxy,r->lxy", B, ts.unit_vec.conj())[:, None]
+        kets.append(hmpo.op @ K if k == op_col else K)
+        bras.append(B)
+    return bras, kets
+
+
+def _sweep_channel(layers, lefts):
+    """Left boundary vectors `lefts` (batch, bond), on the first layer's
+    bond, swept through the window: (batch, the first layer's last bond).
+
+    One einsum per site along a fixed sequential path.  The physical trace is
+    cyclic, so the first layer is contracted first where it narrows the bond
+    and last where it widens it; the other layers act on the narrower vector.
+    """
+    n = len(layers)
+    vec = lefts.reshape(lefts.shape + (1,) * (n - 1))
+    # labels: 0 batch; layer k: bonds 1 + k -> 1 + n + k, out 1 + 2n + k, in
+    # = out of layer k + 1 (of layer 0 for the last layer)
+    path = ["einsum_path", (0, 1)] + [(0, m) for m in range(n - 1, 0, -1)]
+    for site in zip(*layers):
+        first = site[0]
+        order = range(n) if first.shape[1] < first.shape[0] else [*range(1, n), 0]
+        operands = [vec, list(range(n + 1))]
+        for k in order:
+            operands += [site[k], [1 + k, 1 + n + k, 1 + 2 * n + k, 1 + 2 * n + (k + 1) % n]]
+        vec = np.einsum(*operands, [0, *range(1 + n, 1 + 2 * n)], optimize=path)
+    return vec.reshape(len(lefts), -1)
+
+
+def _pure_cell_channel(mats):
+    """Per-cell (v-site then rho-site) trace channel of the projector MPO."""
     Nv = np.einsum("lrxx->lr", mats["v"])
     Nr = np.einsum("lrxx->lr", mats["rho"])
     return Nv @ Nr
 
 
-def _cell_window(ts, positions):
-    """Whole unit cells (p, p + 1/2) covering `positions`, and their site dims."""
+def _cell_window(positions):
+    """Whole unit cells (p, p + 1/2) covering `positions`."""
     cells = range(int(np.floor(min(positions))), int(np.ceil(max(positions) - 0.5)) + 1)
-    window = [q for p in cells for q in (float(p), p + 0.5)]
-    return window, [ts.d_v if leg_of(q, 0) == "v" else ts.d_rho for q in window]
+    return [q for p in cells for q in (float(p), p + 0.5)]
 
 
 def st_correlator(ts, A_op, B_op, x, t, ring_cells=None) -> complex:
@@ -901,6 +874,8 @@ def st_correlator(ts, A_op, B_op, x, t, ring_cells=None) -> complex:
 
     A sits at position 0 at time t, B at position x at time 0; both on the
     legs their coordinates dictate.  Zero outside the lightcone |x| > t.
+    Layers: the projector and the two rows of A_0(t), B on the ket row's in
+    leg; at t = 0 the projector with AB on its in leg.
     """
     if abs((x - t) - round(x - t)) > 1e-9:
         raise ValueError("need x - t integer")
@@ -908,47 +883,46 @@ def st_correlator(ts, A_op, B_op, x, t, ring_cells=None) -> complex:
     if abs(x) > t:
         return 0.0 + 0.0j
     if n == 0:
-        window, dims = _cell_window(ts, [0.0])
+        window = _cell_window([0.0])
         AB = np.asarray(A_op) @ np.asarray(B_op)
-        layers = [_MpoLayer.projector(ts, window),
-                  _MpoLayer.site_operator(dims, 0, AB)]
-        return _st_value(ts, window, layers)
+        P = _fold(_projector_row(ts, window), 0, AB, inner=True)
+        return _st_value(ts, window, [P])
     hm = heisenberg_mpo(ts, A_op, t, position=0.0)
-    window, dims = _cell_window(ts, hm.support() + [x])
-    ket, op_layer, bra = _MpoLayer.heisenberg_rows(hm, window)
-    layers = [
-        _MpoLayer.projector(ts, window),
-        bra, op_layer, ket,
-        _MpoLayer.site_operator(dims, window.index(float(x)), B_op),
-    ]
-    return _st_value(ts, window, layers, ring_cells=ring_cells)
+    window = _cell_window(hm.support() + [x])
+    bra, ket = _heisenberg_rows(hm, window)
+    ket = _fold(ket, window.index(float(x)), np.asarray(B_op), inner=True)
+    return _st_value(ts, window, [_projector_row(ts, window), bra, ket],
+                     ring_cells=ring_cells)
 
 
 def _st_value(ts, window, layers, ring_cells=None) -> complex:
     """Normalized projector trace: infinite chain (environments) by default,
     or closed periodically over `ring_cells` unit cells for exact comparison
     with a finite-ring dense trace."""
-    E = _pure_cell_channel(ts)
-    pure = [_MpoLayer.projector(ts, window)]
+    E = _pure_cell_channel(projector_mpo(ts))
     if ring_cells is not None:
         extra = ring_cells - len(window) // 2
         if extra < 0:
             raise ValueError("ring smaller than the operator window")
-        Eout = np.linalg.matrix_power(E, extra)
-        num = np.trace(Eout @ _window_channel_matrix(layers))
-        den = np.trace(Eout @ _window_channel_matrix(pure))
-        return complex(num / den)
-    lam, pairs = _leading_environment(E)
-    num = 0.0 + 0.0j
-    den = 0.0 + 0.0j
-    for l_env, r_env in pairs:
-        num += _trace_channel_value(layers, l_env, r_env)
-        den += _trace_channel_value(pure, l_env, r_env)
+        # Tr(E^extra M) = Tr(Vh M U S) over the exact rank of E^extra
+        u, s, vh = np.linalg.svd(np.linalg.matrix_power(E, extra))
+        r = int(np.count_nonzero(s > RANK_CUT * s[0]))
+        lefts, rights = vh[:r], (u[:, :r] * s[:r]).T
+    else:
+        _lam, pairs = _leading_environment(E)
+        lefts, rights = (np.array(v) for v in zip(*pairs))
+    num = np.sum(_sweep_channel(layers, lefts) * rights)
+    den = np.sum(lefts @ np.linalg.matrix_power(E, len(window) // 2) * rights)
     return complex(num / den)
 
 
 def otoc(ts, V_op, W_op, x, t, warn_nonunitary=True, ring_cells=None) -> complex:
-    """F(V, W, x, t) = normalized Tr[P W_0^dag V_x(t)^dag W_0 V_x(t)]."""
+    """F(V, W, x, t) = normalized Tr[P W_0^dag V_x(t)^dag W_0 V_x(t)].
+
+    Layers: the projector, the two rows of V_x(t)^dag and the two of V_x(t),
+    with W^dag and W on the out legs of the rows that follow them; at t = 0
+    the projector with W^dag V^dag W V on its in legs.
+    """
     import warnings
 
     V_op = np.asarray(V_op, dtype=complex)
@@ -959,28 +933,21 @@ def otoc(ts, V_op, W_op, x, t, warn_nonunitary=True, ring_cells=None) -> complex
                 warnings.warn(f"{name} is not unitary; OTOC computed anyway")
     n = _half_steps(t)
     if n == 0:
-        window, dims = _cell_window(ts, [0.0, x])
-        w_at = window.index(0.0)
-        v_at = window.index(float(x))
-        layers = [
-            _MpoLayer.projector(ts, window),
-            _MpoLayer.site_operator(dims, w_at, W_op.conj().T),
-            _MpoLayer.site_operator(dims, v_at, V_op.conj().T),
-            _MpoLayer.site_operator(dims, w_at, W_op),
-            _MpoLayer.site_operator(dims, v_at, V_op),
-        ]
-        return _st_value(ts, window, layers)
+        window = _cell_window([0.0, x])
+        w_at, v_at = window.index(0.0), window.index(float(x))
+        P = _projector_row(ts, window)
+        for where, op in ((w_at, W_op.conj().T), (v_at, V_op.conj().T), (w_at, W_op),
+                          (v_at, V_op)):
+            P = _fold(P, where, op, inner=True)
+        return _st_value(ts, window, [P])
     hm = heisenberg_mpo(ts, V_op, t, position=x)
-    window, dims = _cell_window(ts, hm.support() + [0.0])
-    w_where = window.index(0.0)
-    v_rows = _MpoLayer.heisenberg_rows(hm, window)
-    vdag_rows = _MpoLayer.heisenberg_rows(hm, window, dagger=True)
+    window = _cell_window(hm.support() + [0.0])
+    w_at = window.index(0.0)
+    bra, ket = _heisenberg_rows(hm, window)
     layers = [
-        _MpoLayer.projector(ts, window),
-        _MpoLayer.site_operator(dims, w_where, W_op.conj().T),
-        *reversed(vdag_rows),
-        _MpoLayer.site_operator(dims, w_where, W_op),
-        *reversed(v_rows),
+        _projector_row(ts, window),
+        _fold(_adjoint(ket), w_at, W_op.conj().T), _adjoint(bra),
+        _fold(bra, w_at, W_op), ket,
     ]
     return _st_value(ts, window, layers, ring_cells=ring_cells)
 

@@ -108,8 +108,9 @@ def test_run_records_bad_operator_label(tmp_path, capsys):
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    run_cli(["run", str(cfg), "--out", str(tmp_path / "o")])
+    rc = run_cli(["run", str(cfg), "--out", str(tmp_path / "o")])
     capsys.readouterr()
+    assert rc == 1
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert "outside 1..3" in manifest["errors"][0]["error"]
     assert (tmp_path / "o" / "q.csv").read_text().strip().count("\n") == 0

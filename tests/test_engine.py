@@ -408,7 +408,7 @@ def test_otoc_weak_vs_embedded_network(fib_ts):
     rng = np.random.default_rng(42)
     V, W = random_unitary(3, rng), random_unitary(3, rng)
     circ = orc.DenseCircuit.from_tensor_set(fib_ts, L=4)
-    for (x, t) in [(0.0, 1), (1.0, 1), (0.0, 1.5)]:
+    for (x, t) in [(0.0, 1), (1.0, 1), (0.0, 1.5), (1.0, 0.5), (-1.0, 1.0)]:
         leg = mpo.leg_of(x, t)
         block = orc.heisenberg_block(fib_ts.gate, V, t, leg)
         start = x - t + (0.5 if leg == "v" else 0.0)

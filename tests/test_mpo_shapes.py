@@ -80,6 +80,28 @@ def test_heisenberg_mpo_dense_vs_network_block(fib_ts):
         assert np.abs(got - want).max() < 1e-11
 
 
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_projector_mpo_cut_to_exact_rank(name):
+    ts = build_tensors(zoo.model(name))
+    mats = mpo.projector_mpo(ts)
+    if name == "fibonacci":
+        # v -> rho bond 2 of 9, rho -> v bond 9 of 9
+        assert mats["v"].shape == (9, 2, 3, 3) and mats["rho"].shape == (2, 9, 3, 3)
+    else:
+        # Hopf tier: the projector is the identity, bond 1
+        assert mats["v"].shape[:2] == (1, 1) and mats["rho"].shape[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("L,want", [(2, 7), (3, 18)])
+def test_cut_projector_channel_traces_subspace_dimension(fib_ts, L, want):
+    # Tr(E^L) of the per-cell channel is the rank of the ring projector
+    E = mpo._pure_cell_channel(mpo.projector_mpo(fib_ts))
+    got = np.trace(np.linalg.matrix_power(E, L))
+    dim = orc.subspace(orc.DenseCircuit.from_tensor_set(fib_ts, L)).dimension
+    assert dim == want
+    assert abs(got - dim) < 1e-10
+
+
 @pytest.mark.parametrize("name,L,ks", [
     ("dihedral-3", 2, (1, 2)),
     ("fibonacci", 2, (1, 2)),
