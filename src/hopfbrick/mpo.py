@@ -837,23 +837,40 @@ def _sweep_channel(layers, lefts):
     """Left boundary vectors `lefts` (batch, bond), on the first layer's
     bond, swept through the window: (batch, the first layer's last bond).
 
-    One einsum per site along a fixed sequential path.  The physical trace is
-    cyclic, so the first layer is contracted first where it narrows the bond
-    and last where it widens it; the other layers act on the narrower vector.
+    Every site is contracted along a fixed sequential path, one layer after
+    the next.  The physical trace is cyclic, so the first layer goes first
+    where it narrows the bond and last where it widens it; the other layers
+    then act on the narrower vector.  A step's two legs, the previous layer's
+    in leg and this layer's bond, are kept adjacent ([done, (out, bond),
+    rest]), so each step is one batched GEMM and copies nothing.
     """
-    n = len(layers)
-    vec = lefts.reshape(lefts.shape + (1,) * (n - 1))
-    # labels: 0 batch; layer k: bonds 1 + k -> 1 + n + k, out 1 + 2n + k, in
-    # = out of layer k + 1 (of layer 0 for the last layer)
-    path = ["einsum_path", (0, 1)] + [(0, m) for m in range(n - 1, 0, -1)]
+    n, batch = len(layers), len(lefts)
+    vec = lefts.reshape(lefts.shape + (1,) * (n - 1))       # [batch, bond per layer]
     for site in zip(*layers):
-        first = site[0]
-        order = range(n) if first.shape[1] < first.shape[0] else [*range(1, n), 0]
-        operands = [vec, list(range(n + 1))]
-        for k in order:
-            operands += [site[k], [1 + k, 1 + n + k, 1 + 2 * n + k, 1 + 2 * n + (k + 1) % n]]
-        vec = np.einsum(*operands, [0, *range(1 + n, 1 + 2 * n)], optimize=path)
-    return vec.reshape(len(lefts), -1)
+        if n == 1:
+            vec = np.einsum("zb,bcpp->zc", vec, site[0])
+            continue
+        first = 0 if site[0].shape[1] < site[0].shape[0] else 1
+        order = [(first + j) % n for j in range(n)]
+        # first layer: [batch, bond, rest] -> [batch, (out, c, in), rest]
+        b, c, po, pi = site[order[0]].shape
+        x = vec.transpose([0] + [1 + k for k in order]).reshape(batch, b, -1)
+        x = site[order[0]].transpose(2, 1, 3, 0).reshape(-1, b) @ x
+        done = batch * po * c
+        for k in order[1:-1]:
+            # [done, (out, bond), rest] -> [done, (c, in), rest]
+            b, c, po, pi = site[k].shape
+            x = site[k].transpose(1, 3, 2, 0).reshape(c * pi, po * b) @ \
+                x.reshape(done, po * b, -1)
+            done *= c
+        # the last layer's in leg is the first layer's out leg: the trace
+        b, c, po, pi = site[order[-1]].shape
+        x = x.reshape(batch, pi, -1, po * b)
+        T = site[order[-1]].transpose(3, 2, 0, 1).reshape(pi, po * b, c)
+        x = sum(x[:, p] @ T[p] for p in range(pi))
+        vec = x.reshape(batch, *(site[k].shape[1] for k in order)).transpose(
+            [0] + [1 + order.index(k) for k in range(n)])
+    return vec.reshape(batch, -1)
 
 
 def _pure_cell_channel(mats):
