@@ -842,7 +842,8 @@ def _sweep_channel(layers, lefts):
     where it narrows the bond and last where it widens it; the other layers
     then act on the narrower vector.  A step's two legs, the previous layer's
     in leg and this layer's bond, are kept adjacent ([done, (out, bond),
-    rest]), so each step is one batched GEMM and copies nothing.
+    rest]), so each step is one batched GEMM on the intermediate as it lies;
+    only the vector between sites is reordered.
     """
     n, batch = len(layers), len(lefts)
     vec = lefts.reshape(lefts.shape + (1,) * (n - 1))       # [batch, bond per layer]
