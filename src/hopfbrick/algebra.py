@@ -123,12 +123,6 @@ class SparseRank3:
         self._rows = None
 
     @classmethod
-    def from_dense(cls, arr):
-        arr = np.asarray(arr, dtype=complex)
-        idx = np.argwhere(arr != 0)
-        return cls(arr.shape[0], idx, arr[tuple(idx.T)] if idx.size else np.zeros(0))
-
-    @classmethod
     def from_dict(cls, dim, entries):
         items = sorted(entries.items())
         idx = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 3)
@@ -151,18 +145,6 @@ class SparseRank3:
                 rows[i].append((int(j), int(k), v))
             self._rows = rows
         return self._rows
-
-    def slice0(self, i):
-        """Dense slice T[i, :, :]."""
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex)
-        for j, k, v in self.rows()[i]:
-            out[j, k] += v
-        return out
-
-    def to_quintuples(self):
-        return [[int(i), int(j), int(k), float(v.real), float(v.imag)]
-                for (i, j, k), v in zip(self.idx, self.vals)]
 
 
 @dataclass
@@ -201,12 +183,6 @@ class AlgebraData:
         c = np.zeros(self.dim, dtype=complex)
         c[i] = 1.0
         return AlgebraElement(self, c)
-
-    def unit_element(self):
-        return AlgebraElement(self, self.unit.copy())
-
-    def dual_element(self, coeffs):
-        return DualElement(self, np.asarray(coeffs, dtype=complex).reshape(self.dim))
 
     # -- coefficient-level operations -----------------------------------------
 

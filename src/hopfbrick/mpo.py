@@ -16,6 +16,14 @@ the block's legs: kept open on one copy they give the reduced density
 matrix, paired across replicas they give the replica trace.  Both forms
 hold at every block size and time.
 
+Segment programs: the replica trace is not stepped column by column.  Its
+program is a few runs of one repeated two-column cell (`_runs`): two ramps,
+each evaluated from the boundary it touches (the left one with transposed
+steps) and restricted to the Krylov span its boundary vector reaches, a few
+dimensions at any length; and a middle run whose cell keeps the replica
+pairing, one small matrix per leg taken to its power.  A point costs
+O(span + log t) steps instead of l + 2t.
+
 Time bookkeeping: one period applies the odd then the even gate layer, so a
 Heisenberg operator at time t spans 2t column pairs (t in half-integers).
 An operator at position x sits on a v-leg when x - t is an integer (integer
@@ -40,6 +48,7 @@ from .tensors import SolvableTensorSet, build_projectors
 TOL_NUM = 1e-9
 MEMORY_CAP = 2 ** 26        # complex entries one engine intermediate may hold
 RANK_CUT = 1e-12            # relative singular-value cut of the column factors
+KRYLOV_MAX = 64             # basis vectors of one Arnoldi cycle before a restart
 
 
 def leg_of(x, t) -> str:
@@ -531,8 +540,14 @@ class ReplicaChannel:
 
     Both boundaries are products over slots, so they are rank-one in either
     pairing: `start` returns the right boundary as c = [1] and `trace`
-    contracts c with the left one.  The step between two bases is built once
-    per channel, on first use.
+    contracts c with the left one (`left` is that boundary as a tensor).
+    The step between two bases is built once per channel, on first use.
+
+    `apply` steps one column at a time.  Segment programs (`_replica_trace`)
+    take the steps from `step` instead, in both directions: the transpose of
+    a same-pairing step is the transposed per-leg matrix, and that of a
+    pairing switch src -> dst is the switch back, dst -> src, with the roles
+    of the two factors swapped (V_dst expands, U_src contracts).
     """
 
     def __init__(self, ts, state, alpha):
@@ -561,29 +576,51 @@ class ReplicaChannel:
     def apply(self, kind, vec, primed=False):
         """The column operator (kind, primed) on `vec`, which is in the basis
         of the previous `apply` (or `start`); returns the new basis tensor."""
-        key = (self._basis, (kind, primed))
-        step = self._steps.get(key)
-        if step is None:
-            step = self._steps[key] = self._build(*key)
+        step = self.step(self._basis, (kind, primed))
         self._basis = (kind, primed)
         return step(vec)
 
     def trace(self, vec) -> complex:
         """<L| replica vector>, with `vec` in the basis of the last `apply`."""
-        U = self._uv[self._basis[0]][0]
-        z = self.kl_pair @ U.reshape(self.d * self.d, -1)
-        return complex(self._same(z[:, None])(vec).reshape(()))
+        return complex(self._same(self._left_pair(self._basis)[:, None])(vec).reshape(()))
 
-    def _build(self, src, dst):
+    def left(self, basis):
+        """<L| as a tensor in `basis`: the product of one pair overlap per leg,
+        so that `trace(vec)` is the plain bilinear sum(left * vec)."""
+        return self._same(self._left_pair(basis)[None, :])(
+            np.ones((1,) * self.alpha, dtype=complex))
+
+    def step(self, src, dst, transpose=False):
+        """The column operator `dst` on a tensor in basis `src` ("R" for the
+        right boundary), or with `transpose` its transpose, from basis `dst`
+        to `src`; built once per channel."""
+        key = (src, dst, transpose)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = self._build(*key)
+        return step
+
+    def overlap(self, src, dst):
+        """M^T of a same-pairing step src -> dst, the per-leg (r1, r2) matrix."""
+        A, B = self._uv[src[0]][0], self._uv[dst[0]][1]
+        return np.tensordot(A, B, axes=([0, 1], [0, 1]))
+
+    def _left_pair(self, basis):
+        return self.kl_pair @ self._uv[basis[0]][0].reshape(self.d * self.d, -1)
+
+    def _build(self, src, dst, transpose):
         kind, primed = dst
         B = self._uv[kind][1]                           # [ket, bra, k']
         if src == "R":
             # the boundary is the same product in either pairing
             return self._same((self.kr_pair @ B.reshape(self.d * self.d, -1))[None, :])
-        A = self._uv[src[0]][0]                         # [ket, bra, k]
         if src[1] == primed:
-            return self._same(np.tensordot(A, B, axes=([0, 1], [0, 1])))
-        return self._switch(A, B, to_primed=primed)
+            Mt = self.overlap(src, dst)
+            return self._same(Mt.T if transpose else Mt)
+        A = self._uv[src[0]][0]                         # [ket, bra, k]
+        # the transposed switch is the switch back with the factors' roles swapped
+        return self._switch(B, A, to_primed=src[1]) if transpose \
+            else self._switch(A, B, to_primed=primed)
 
     def _same(self, Mt):
         """c -> (M (x) ... (x) M) c for Mt = M^T of shape (r1, r2): one GEMM
@@ -640,26 +677,133 @@ def _workspace(pool, site, shape):
     return buf[:n].reshape(shape)
 
 
+def _runs(program):
+    """The program as [cell, reps] runs of one repeated (rho, v) column pair."""
+    runs = []
+    for cell in zip(program[0::2], program[1::2]):
+        if runs and runs[-1][0] == cell:
+            runs[-1][1] += 1
+        else:
+            runs.append([cell, 1])
+    return runs
+
+
+def _unit(vec):
+    """(vec / |vec|, log |vec|), dividing `vec` in place; a vanishing vector
+    raises before the division."""
+    norm = np.linalg.norm(vec)
+    if not norm > 0:
+        raise FloatingPointError("replica vector vanishes")
+    vec /= norm
+    return vec, float(np.log(norm))
+
+
+def _matrix_power(M, reps):
+    """(P, s) with M^reps = e^s P, by binary powering; each product is
+    renormalized and its scale carried as a logarithm."""
+    power, log_p = np.eye(len(M), dtype=complex), 0.0
+    square, log_sq = M, 0.0
+    while reps:
+        if reps & 1:
+            power, s = _unit(power @ square)
+            log_p += log_sq + s
+        reps >>= 1
+        if reps:
+            square, s = _unit(square @ square)
+            log_sq = 2 * log_sq + s
+    return power, log_p
+
+
+def _krylov_power(cell, vec, reps):
+    """(x, s) with cell^reps vec = e^s x, |x| = 1, on the Krylov span of vec.
+
+    Arnoldi with re-orthogonalized Gram-Schmidt builds Q and H = Q^H C Q from
+    the coefficients alone.  The span closes when a new residual falls below
+    TOL_NUM times the largest |C q| seen, and then cell^reps = Q H^reps Q^H
+    on vec.  A run that has not closed when its cells are used up was stepped
+    exactly: H holds the cells applied so far, with a zero last column.  A
+    basis of KRYLOV_MAX vectors restarts from the current iterate.
+    """
+    shape = vec.shape
+    vec, log_scale = _unit(vec.reshape(-1))
+    while reps:
+        basis, largest = [vec], 0.0
+        H = np.zeros((KRYLOV_MAX, KRYLOV_MAX), dtype=complex)
+        for j in range(min(reps, KRYLOV_MAX - 1)):
+            w = cell(basis[j].reshape(shape)).reshape(-1)
+            largest = max(largest, np.linalg.norm(w))
+            for _ in range(2):
+                for i, q in enumerate(basis):
+                    h = np.vdot(q, w)
+                    H[i, j] += h
+                    w -= h * q
+            beta = np.linalg.norm(w)
+            if beta <= TOL_NUM * largest:
+                applied, n = reps, j + 1
+                break
+            H[j + 1, j] = beta
+            basis.append(w / beta)
+        else:
+            applied, n = len(basis) - 1, len(basis)
+        P, s = _matrix_power(H[:n, :n], applied)
+        vec, s_unit = _unit(sum(c * q for c, q in zip(P[:, 0], basis)))
+        log_scale += s + s_unit
+        reps -= applied
+    return vec.reshape(shape), log_scale
+
+
+def _run_power(ch, cell, reps, vec, transpose=False):
+    """(x, s) with C^reps vec = e^s x, |x| = 1, for C the replica map of one
+    cell between its v columns (C^T if `transpose`).  A cell that keeps the
+    pairing is one r x r matrix per leg, taken to its power; a ramp cell is
+    restricted to its Krylov span."""
+    rho, v = cell
+    if reps == 0:
+        return _unit(vec)
+    if rho[1] == v[1]:
+        Mt = ch.overlap(v, rho) @ ch.overlap(rho, v)
+        P, s = _matrix_power(Mt.T if transpose else Mt, reps)
+        vec, s_unit = _unit(ch._same(P)(vec))
+        return vec, ch.alpha * s + s_unit
+    fwd, back = ch.step(v, rho, transpose), ch.step(rho, v, transpose)
+    return _krylov_power((lambda c: fwd(back(c))) if transpose else (lambda c: back(fwd(c))),
+                         vec, reps)
+
+
+def _replica_trace(ch, program):
+    """(tr, s): the replica trace of `program` is tr e^s.
+
+    The program is evaluated as runs of repeated cells (`_runs`), with every
+    vector at a v column in that column's rank basis.  The runs after the
+    first go forward from the right boundary, one forward cell joining each
+    to the run on its left; then the first run goes transposed from the left
+    boundary, and the two vectors meet at its last v column.  Each run's
+    repeated cell is one `_run_power`.
+    """
+    runs = _runs(program)
+    vec, log_r = ch.step("R", runs[-1][0][1])(ch.start()), 0.0
+    for j in range(len(runs) - 1, 0, -1):
+        (rho, v), reps = runs[j]
+        vec, s = _run_power(ch, (rho, v), reps - 1, vec)
+        vec = ch.step(v, rho)(vec)
+        vec, s_unit = _unit(ch.step(rho, runs[j - 1][0][1])(vec))
+        log_r += s + s_unit
+    (rho, v), reps = runs[0]
+    left, log_l = _run_power(ch, (rho, v), reps - 1,
+                             ch.step(v, rho, transpose=True)(ch.left(rho)), transpose=True)
+    return complex(np.sum(left * vec)), log_l + log_r
+
+
 def _replica_entropy(ts, state, t, alpha, program) -> float:
     """H_alpha = log Tr(rho^alpha) / (1 - alpha), the trace by a replica
-    program; zero at t = 0."""
+    program (`_replica_trace`); zero at t = 0."""
     if alpha < 2 or int(alpha) != alpha:
         raise ValueError("alpha must be an integer >= 2")
     if _half_steps(t) == 0:
         return 0.0
-    ch = ReplicaChannel(ts, state, alpha)
-    vec = ch.start()
-    # the vector is kept at unit norm, its scale carried as a logarithm: long
-    # programs shrink it by e^(-(alpha - 1) H), into the subnormal range
-    log_scale = 0.0
-    for kind, primed in reversed(program):
-        vec = ch.apply(kind, vec, primed=primed)
-        norm = np.linalg.norm(vec)
-        if not norm > 0:
-            raise FloatingPointError("replica vector vanishes")
-        vec /= norm
-        log_scale += np.log(norm)
-    tr = ch.trace(vec)
+    # vectors are kept at unit norm, their scale carried as a logarithm: long
+    # programs shrink the trace to e^(-(alpha - 1) H), into the subnormal range
+    tr, log_scale = _replica_trace(ReplicaChannel(ts, state, alpha), program)
     if abs(tr.imag) > TOL_NUM * max(1.0, abs(tr.real)):
         raise FloatingPointError(f"replica trace has imaginary part {tr.imag:.3e}")
     if tr.real <= 0:

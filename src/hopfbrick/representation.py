@@ -54,10 +54,6 @@ class Corepresentation:
     def dim(self):
         return self.entries.shape[0]
 
-    def as_dual_rep_matrix(self, dual_coeffs) -> np.ndarray:
-        """[v(f)]_ij = f(v_ij) for a dual-element coefficient covector f."""
-        return np.tensordot(self.entries, np.asarray(dual_coeffs, dtype=complex), axes=(2, 0))
-
 
 @dataclass
 class RepPair:

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -72,3 +73,93 @@ def test_renyi_replica_matches_rdm(model, l, n, alpha, fib_ts, fib_state, d3_ts,
     hs = mpo.renyi_small(ts, state, l, n / 2, alpha)
     hr = mpo.renyi_replica(ts, state, l, n / 2, alpha)
     assert abs(hs - hr) < 1e-8
+
+
+BASES = [(kind, primed) for kind in ("rho", "v") for primed in (False, True)]
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+@pytest.mark.parametrize("model", ["fib", "d3"])
+def test_transposed_step_is_transpose(model, alpha, request):
+    # <y, S x> = <S^T y, x> for every step, the bilinear pairing of the trace
+    ts = request.getfixturevalue(f"{model}_ts")
+    state = request.getfixturevalue(f"{model}_state")
+    ch = mpo.ReplicaChannel(ts, state, alpha)
+    rng = np.random.default_rng(7)
+    rank = {kind: ch.overlap((kind, False), (kind, False)).shape[0] for kind in ("rho", "v")}
+
+    def tensor(kind):
+        shape = (rank[kind],) * alpha
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for src, dst in itertools.product(BASES, BASES):
+        x, y = tensor(src[0]), tensor(dst[0])
+        forward = np.sum(y * ch.step(src, dst)(x.copy()))
+        back = np.sum(ch.step(src, dst, transpose=True)(y.copy()) * x)
+        assert abs(forward - back) <= 1e-13 * abs(forward), (src, dst)
+
+
+def _stepped_entropy(ts, state, program, alpha):
+    """The replica entropy stepped one column at a time through
+    `ReplicaChannel.apply`, the vector renormalized after every step."""
+    ch = mpo.ReplicaChannel(ts, state, alpha)
+    vec, log_scale = ch.start(), 0.0
+    for kind, primed in reversed(program):
+        vec = ch.apply(kind, vec, primed=primed)
+        norm = np.linalg.norm(vec)
+        vec, log_scale = vec / norm, log_scale + np.log(norm)
+    return float((np.log(ch.trace(vec).real) + log_scale) / (1 - alpha))
+
+
+# (l, n): n < l, n = l and n > l with ramps that outlast every span (at most
+# 12 cells), and short ramps that end before their span closes
+BLOCKS = [(16, 8), (14, 14), (14, 30), (4, 3), (3, 4), (2, 2)]
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+@pytest.mark.parametrize("model", ["fib", "d3"])
+def test_segment_program_matches_stepping(model, alpha, request):
+    ts = request.getfixturevalue(f"{model}_ts")
+    state = request.getfixturevalue(f"{model}_state")
+    for l, n in BLOCKS:
+        program = mpo._renyi_program(l, n)
+        assert abs(mpo.renyi_replica(ts, state, l, n / 2, alpha)
+                   - _stepped_entropy(ts, state, program, alpha)) <= 1e-10, (l, n)
+    for n in (1, 3, 20):
+        program = [("rho", True), ("v", False)] * n
+        assert abs(mpo.renyi_half_chain(ts, state, n / 2, alpha)
+                   - _stepped_entropy(ts, state, program, alpha)) <= 1e-10, n
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+@pytest.mark.parametrize("model", ["fib", "d3"])
+def test_segment_program_restarts(model, alpha, request, monkeypatch):
+    # two basis vectors per Arnoldi cycle: every ramp cell restarts the basis
+    ts = request.getfixturevalue(f"{model}_ts")
+    state = request.getfixturevalue(f"{model}_state")
+    sizes = []
+    power = mpo._matrix_power
+    monkeypatch.setattr(mpo, "KRYLOV_MAX", 2)
+    monkeypatch.setattr(mpo, "_matrix_power",
+                        lambda M, reps: sizes.append(len(M)) or power(M, reps))
+    l, n = 14, 30
+    h = mpo.renyi_replica(ts, state, l, n / 2, alpha)
+    # one cycle per ramp cell; the middle run's per-leg power is r x r
+    assert sum(size == 2 for size in sizes) == 2 * (l - 1)
+    assert all(size == 2 or size > 10 for size in sizes)
+    assert abs(h - _stepped_entropy(ts, state, mpo._renyi_program(l, n), alpha)) <= 1e-10
+
+
+def test_segment_memory_in_v_basis(d3_ts, d3_state):
+    # dihedral-3 alpha = 3: a Krylov vector in the v basis (rank 18) has 5 832
+    # entries, in the rho basis (rank 36) 46 656 (746 KB); six of the latter
+    # overrun the bound, about twice the measured 4.5 MB peak
+    for kind in ("rho", "v"):
+        d3_state.transfer_stack(d3_ts).factors(kind)
+    tracemalloc.start()
+    try:
+        mpo.renyi_replica(d3_ts, d3_state, 300, 30, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
