@@ -544,10 +544,11 @@ class ReplicaChannel:
     The step between two bases is built once per channel, on first use.
 
     `apply` steps one column at a time.  Segment programs (`_replica_trace`)
-    take the steps from `step` instead, in both directions: the transpose of
-    a same-pairing step is the transposed per-leg matrix, and that of a
-    pairing switch src -> dst is the switch back, dst -> src, with the roles
-    of the two factors swapped (V_dst expands, U_src contracts).
+    take the steps from `step` instead, in both directions, and repeat a
+    cell by `power`.  The transpose of a same-pairing step is the transposed
+    per-leg matrix, and that of a pairing switch src -> dst is the switch
+    back, dst -> src, with the roles of the two factors swapped (V_dst
+    expands, U_src contracts).
     """
 
     def __init__(self, ts, state, alpha):
@@ -580,9 +581,11 @@ class ReplicaChannel:
         self._basis = (kind, primed)
         return step(vec)
 
-    def trace(self, vec) -> complex:
-        """<L| replica vector>, with `vec` in the basis of the last `apply`."""
-        return complex(self._same(self._left_pair(self._basis)[:, None])(vec).reshape(()))
+    def trace(self, vec, basis=None) -> complex:
+        """<L| replica vector>, with `vec` in `basis` (by default that of the
+        last `apply`)."""
+        z = self._left_pair(basis or self._basis)
+        return complex(self._same(z[:, None])(vec).reshape(()))
 
     def left(self, basis):
         """<L| as a tensor in `basis`: the product of one pair overlap per leg,
@@ -600,7 +603,24 @@ class ReplicaChannel:
             step = self._steps[key] = self._build(*key)
         return step
 
-    def overlap(self, src, dst):
+    def power(self, cell, reps, vec, transpose=False):
+        """(x, s) with C^reps vec = e^s x, |x| = 1, for C the map of one
+        (rho, v) cell between its v columns (C^T if `transpose`).  A cell that
+        keeps the pairing is one r x r matrix per leg, taken to its power; a
+        ramp cell is restricted to its Krylov span."""
+        rho, v = cell
+        if reps == 0:
+            return _unit(vec)
+        if rho[1] == v[1]:
+            Mt = self._overlap(v, rho) @ self._overlap(rho, v)
+            P, s = _matrix_power(Mt.T if transpose else Mt, reps)
+            vec, s_unit = _unit(self._same(P)(vec))
+            return vec, self.alpha * s + s_unit
+        fwd, back = self.step(v, rho, transpose), self.step(rho, v, transpose)
+        return _krylov_power((lambda c: fwd(back(c))) if transpose else (lambda c: back(fwd(c))),
+                             vec, reps)
+
+    def _overlap(self, src, dst):
         """M^T of a same-pairing step src -> dst, the per-leg (r1, r2) matrix."""
         A, B = self._uv[src[0]][0], self._uv[dst[0]][1]
         return np.tensordot(A, B, axes=([0, 1], [0, 1]))
@@ -615,7 +635,7 @@ class ReplicaChannel:
             # the boundary is the same product in either pairing
             return self._same((self.kr_pair @ B.reshape(self.d * self.d, -1))[None, :])
         if src[1] == primed:
-            Mt = self.overlap(src, dst)
+            Mt = self._overlap(src, dst)
             return self._same(Mt.T if transpose else Mt)
         A = self._uv[src[0]][0]                         # [ket, bra, k]
         # the transposed switch is the switch back with the factors' roles swapped
@@ -752,24 +772,6 @@ def _krylov_power(cell, vec, reps):
     return vec.reshape(shape), log_scale
 
 
-def _run_power(ch, cell, reps, vec, transpose=False):
-    """(x, s) with C^reps vec = e^s x, |x| = 1, for C the replica map of one
-    cell between its v columns (C^T if `transpose`).  A cell that keeps the
-    pairing is one r x r matrix per leg, taken to its power; a ramp cell is
-    restricted to its Krylov span."""
-    rho, v = cell
-    if reps == 0:
-        return _unit(vec)
-    if rho[1] == v[1]:
-        Mt = ch.overlap(v, rho) @ ch.overlap(rho, v)
-        P, s = _matrix_power(Mt.T if transpose else Mt, reps)
-        vec, s_unit = _unit(ch._same(P)(vec))
-        return vec, ch.alpha * s + s_unit
-    fwd, back = ch.step(v, rho, transpose), ch.step(rho, v, transpose)
-    return _krylov_power((lambda c: fwd(back(c))) if transpose else (lambda c: back(fwd(c))),
-                         vec, reps)
-
-
 def _replica_trace(ch, program):
     """(tr, s): the replica trace of `program` is tr e^s.
 
@@ -777,20 +779,25 @@ def _replica_trace(ch, program):
     vector at a v column in that column's rank basis.  The runs after the
     first go forward from the right boundary, one forward cell joining each
     to the run on its left; then the first run goes transposed from the left
-    boundary, and the two vectors meet at its last v column.  Each run's
-    repeated cell is one `_run_power`.
+    boundary, and the two vectors meet at its last v column (a first run of
+    one cell is stepped forward instead).  Each run's repeated cell is one
+    `ReplicaChannel.power`.
     """
     runs = _runs(program)
     vec, log_r = ch.step("R", runs[-1][0][1])(ch.start()), 0.0
     for j in range(len(runs) - 1, 0, -1):
         (rho, v), reps = runs[j]
-        vec, s = _run_power(ch, (rho, v), reps - 1, vec)
+        vec, s = ch.power((rho, v), reps - 1, vec)
         vec = ch.step(v, rho)(vec)
         vec, s_unit = _unit(ch.step(rho, runs[j - 1][0][1])(vec))
         log_r += s + s_unit
     (rho, v), reps = runs[0]
-    left, log_l = _run_power(ch, (rho, v), reps - 1,
-                             ch.step(v, rho, transpose=True)(ch.left(rho)), transpose=True)
+    if reps == 1:
+        # nothing to power: one forward step onto the rank-one boundary, which
+        # is never expanded into a full tensor
+        return ch.trace(ch.step(v, rho)(vec), rho), log_r
+    left, log_l = ch.power((rho, v), reps - 1,
+                           ch.step(v, rho, transpose=True)(ch.left(rho)), transpose=True)
     return complex(np.sum(left * vec)), log_l + log_r
 
 
