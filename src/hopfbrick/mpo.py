@@ -22,7 +22,8 @@ each evaluated from the boundary it touches (the left one with transposed
 steps) and restricted to the Krylov span its boundary vector reaches, a few
 dimensions at any length; and a middle run whose cell keeps the replica
 pairing, one small matrix per leg taken to its power.  A point costs
-O(span + log t) steps instead of l + 2t.
+O(span + log t) (span cells plus log t small matrix products) instead of
+l + 2t replica steps.
 
 Time bookkeeping: one period applies the odd then the even gate layer, so a
 Heisenberg operator at time t spans 2t column pairs (t in half-integers).
