@@ -13,7 +13,8 @@ hash, library version, and tolerances, sufficient to re-run the batch.
 
 Exit codes: 0 success; 1 a check failed (verify), the initial state is
 outside the solvable subspace or a point was skipped (run, after every CSV
-and the manifest are written); 2 unreadable or invalid input.
+and the manifest are written); 2 unreadable or invalid input (oracle: a
+ring over the amplitude cap).
 """
 
 from __future__ import annotations
@@ -110,6 +111,15 @@ def _initial_state(spec, d):
     return mpo.MPSState.product(rho_vec, v_vec)
 
 
+def _dense_initial_state(circ, spec, d):
+    """The product state `spec` on every site of the dense ring `circ`."""
+    state = _initial_state(spec, d)
+    rho_vec = state.rho_site.reshape(-1)
+    v_vec = state.v_site.reshape(-1)
+    return oracle.product_state(circ, [(v_vec if k % 2 == 0 else rho_vec)
+                                       for k in range(circ.n_sites)])
+
+
 def _grid(spec):
     if isinstance(spec, list):
         return [float(v) for v in spec]
@@ -187,8 +197,7 @@ def _eval_point(pair, ts, state, q, point):
     elif kind == "two_point":
         O = _single_site_operator(q["O"], d)
         O2 = _single_site_operator(q["O2"], d)
-        val = mpo.two_point(ts, O, O2, int(x), int(t), state,
-                            connected=q.get("connected", True))
+        val = mpo.two_point(ts, O, O2, x, t, state, connected=q.get("connected", True))
     elif kind == "renyi":
         l_int = int(l)
         if (ts.d_rho * ts.d_v) ** (2 * l_int) <= 2 ** 20:
@@ -311,11 +320,7 @@ def _append_oracle_check(pair, ts, config, q, rows, L, path):
     if ts.d_rho != ts.d_v:
         return
     circ = oracle.DenseCircuit.from_tensor_set(ts, L=L)
-    state = _initial_state(config["initial_state"], ts.d_v)
-    rho_vec = state.rho_site.reshape(-1)
-    v_vec = state.v_site.reshape(-1)
-    psi0 = oracle.product_state(circ, [(v_vec if k % 2 == 0 else rho_vec)
-                                       for k in range(circ.n_sites)])
+    psi0 = _dense_initial_state(circ, config["initial_state"], ts.d_v)
     out_rows = []
     for row in rows:
         dev = ""
@@ -347,12 +352,13 @@ def _append_oracle_check(pair, ts, config, q, rows, L, path):
 def cmd_oracle(args) -> int:
     pair = _load_model(args.model, tol=args.tol)
     ts = build_tensors(pair)
-    circ = oracle.DenseCircuit.from_tensor_set(ts, L=args.L, amplitude_cap=args.cap)
-    state = _initial_state(args.state, ts.d_v)
-    rho_vec = state.rho_site.reshape(-1)
-    v_vec = state.v_site.reshape(-1)
-    psi0 = oracle.product_state(circ, [(v_vec if k % 2 == 0 else rho_vec)
-                                       for k in range(circ.n_sites)])
+    cap = oracle.DEFAULT_AMPLITUDE_CAP if args.cap is None else args.cap
+    try:
+        circ = oracle.DenseCircuit.from_tensor_set(ts, L=args.L, amplitude_cap=cap)
+    except MemoryError as exc:
+        print(f"oracle error: {exc}", file=sys.stderr)
+        return 2
+    psi0 = _dense_initial_state(circ, args.state, ts.d_v)
     info = oracle.subspace(circ)
     print(f"ring of {circ.n_sites} sites, Hilbert dim {circ.d ** circ.n_sites}, "
           f"solvable subspace dim {info.dimension}")
@@ -368,7 +374,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_revival(args) -> int:
     pair = _load_model(args.model, tol=args.tol)
-    eta, nu = exponent(pair.algebra, cap=args.cap)
+    eta, nu = exponent(pair.algebra, cap=64 if args.cap is None else args.cap)
     print(f"exponent: eta = {eta}, nu = {nu}")
     print(f"revival-time bound for L = {args.L}: eta * L = {eta * args.L}")
     if args.dense:
@@ -399,8 +405,9 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=TOL_ALG,
                         help="axiom/identity tolerance")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--cap", type=int, default=64,
-                        help="search/amplitude cap where applicable")
+    parser.add_argument("--cap", type=int, default=None,
+                        help="search cap (revival, default 64) or amplitude cap "
+                             f"(oracle, default {oracle.DEFAULT_AMPLITUDE_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check axioms, tensor identities, gate properties")
@@ -436,8 +443,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_export_spec)
 
     args = parser.parse_args(argv)
-    if args.cap == 64 and getattr(args, "command", "") == "oracle":
-        args.cap = oracle.DEFAULT_AMPLITUDE_CAP
     return args.func(args)
 
 

@@ -1,12 +1,12 @@
 """Transfer-matrix engine: every exactly contracted quantity of the circuits.
 
 Triangle / diamond / inverted-triangle operator networks as bond-d_A matrix
-products, Heisenberg-picture observable MPOs (bond d_A^2 at any time),
-quench expectation values and equal-time correlators, Renyi entropies of
-finite blocks (explicit reduced density matrix or replica transfer matrices)
-and of the half chain, equilibration rates, normalized projector-trace
-spatiotemporal correlators and OTOCs, and the periodic-chain evolution
-operator at its special times.
+products, Heisenberg-picture observables as two MPO rows (bra and ket, bond
+d_A each at any time), quench expectation values and equal-time
+correlators, Renyi entropies of finite blocks (explicit reduced density
+matrix or replica transfer matrices) and of the half chain, equilibration
+rates, normalized projector-trace spatiotemporal correlators and OTOCs, and
+the periodic-chain evolution operator at its special times.
 
 Column programs: a quench quantity is <K_L| C_0 C_1 ... C_{2n-1} |K_R> over
 column transfer matrices alternating rho, v, with a local operator on some
@@ -329,11 +329,13 @@ def mpo_inverted_triangle(ts: SolvableTensorSet, n: int) -> np.ndarray:
 
 @dataclass
 class HeisenbergMPO:
-    """Two-row (ket/bra) MPO of a time-evolved single-site operator.
+    """A time-evolved single-site operator O(t) as two MPO rows, bra and
+    ket, each of bond d_A at every cut, independent of t
+    (`_heisenberg_rows`); `bond_dim` is the product of the two, d_A^2.
 
     Columns alternate rho, v over 2t pairs; the operator inserts on the last
-    v column (v-leg) or the first rho column (rho-leg).  Bond dimension is
-    d_A^2 at every cut, independent of t.
+    v column (v-leg) or the first rho column (rho-leg).  At t = 0 there are
+    no columns: O sits on the identity row at `position`.
     """
 
     ts: SolvableTensorSet
@@ -343,20 +345,15 @@ class HeisenbergMPO:
     position: float = 0.0
 
     def __post_init__(self):
-        if _half_steps(self.t) < 1:
-            raise ValueError("Heisenberg MPO needs t >= 1/2")
+        _half_steps(self.t)
         d_phys = self.ts.d_v if self.leg == "v" else self.ts.d_rho
         self.op = np.asarray(self.op, dtype=complex)
         if self.op.shape != (d_phys, d_phys):
             raise ValueError("operator dimension does not match the leg type")
 
     @property
-    def n_pairs(self):
-        return _half_steps(self.t)
-
-    @property
     def n_columns(self):
-        return 2 * self.n_pairs
+        return 2 * _half_steps(self.t)
 
     @property
     def bond_dim(self):
@@ -367,32 +364,16 @@ class HeisenbergMPO:
         start = self.position - self.t + (0.5 if self.leg == "v" else 0.0)
         return [start + 0.5 * k for k in range(self.n_columns)]
 
-    def site_tensor(self, k):
-        """Column k (0-based): [bond_left(out-side), bond_right(arg-side), out, in]."""
-        ts = self.ts
-        d = ts.algebra.dim
-        if not 0 <= k < self.n_columns:
-            raise IndexError("column out of range")
-        base = ts.rho_tensor if k % 2 == 0 else ts.v_tensor
-        on_op = k == (self.n_columns - 1 if self.leg == "v" else 0)
-        op = self.op if on_op else np.eye(base.shape[0])
-        W = np.einsum("apxy,AqXY,Aa->yYxXqp", base, base.conj(), op, optimize=True)
-        dp = base.shape[1]
-        return W.reshape(d * d, d * d, dp, dp)
-
-    def boundary_left(self):
-        eps = self.ts.counit_vec
-        return np.einsum("y,Y->yY", eps, eps.conj()).reshape(-1)
-
-    def boundary_right(self):
-        u = self.ts.unit_vec
-        return np.einsum("x,X->xX", u, u.conj()).reshape(-1)
-
     def to_dense(self):
         """Dense operator on the covered sites: axes (out_1.., in_1..), column order."""
-        return _chain(self.boundary_left(),
-                      [self.site_tensor(k) for k in range(self.n_columns)],
-                      self.boundary_right())
+        n = self.n_columns
+        if n == 0:
+            raise ValueError("O(t) covers no columns at t = 0")
+        one = np.ones(1)
+        bra, ket = (_chain(one, row, one) for row in _heisenberg_rows(self, self.support()))
+        dense = (bra.reshape(math.prod(bra.shape[:n]), -1)
+                 @ ket.reshape(math.prod(ket.shape[:n]), -1))
+        return dense.reshape(bra.shape[:n] + ket.shape[n:])
 
 
 def heisenberg_mpo(ts, O, t, leg=None, position=0.0) -> HeisenbergMPO:
@@ -957,7 +938,8 @@ def _heisenberg_rows(hmpo: HeisenbergMPO, window):
     row's out leg; the rows of O(t)^dag are [adjoint(ket), adjoint(bra)].
 
     Splitting the rows keeps every bond at d_A instead of d_A^2, which is
-    what makes the four-row OTOC channel affordable.
+    what makes the four-row OTOC channel affordable.  At t = 0 both rows are
+    identities and O sits on the ket row at the operator's position.
     """
     ts = hmpo.ts
     pos_to_col = {round(2 * p): k for k, p in enumerate(hmpo.support())}
@@ -982,6 +964,8 @@ def _heisenberg_rows(hmpo: HeisenbergMPO, window):
             B = np.einsum("lrxy,r->lxy", B, ts.unit_vec.conj())[:, None]
         kets.append(hmpo.op @ K if k == op_col else K)
         bras.append(B)
+    if not pos_to_col:
+        kets = _fold(kets, window.index(hmpo.position), hmpo.op)
     return bras, kets
 
 
@@ -1000,9 +984,6 @@ def _sweep_channel(layers, lefts):
     n, batch = len(layers), len(lefts)
     vec = lefts.reshape(lefts.shape + (1,) * (n - 1))       # [batch, bond per layer]
     for site in zip(*layers):
-        if n == 1:
-            vec = np.einsum("zb,bcpp->zc", vec, site[0])
-            continue
         first = 0 if site[0].shape[1] < site[0].shape[0] else 1
         order = [(first + j) % n for j in range(n)]
         # first layer: [batch, bond, rest] -> [batch, (out, c, in), rest]
@@ -1044,21 +1025,16 @@ def st_correlator(ts, A_op, B_op, x, t, ring_cells=None) -> complex:
 
     A sits at position 0 at time t, B at position x at time 0; both on the
     legs their coordinates dictate.  Zero outside the lightcone |x| > t.
-    Layers: the projector and the two rows of A_0(t), B on the ket row's in
-    leg; at t = 0 the projector with AB on its in leg.
+    Layers, at every t: the projector and the two rows of A_0(t), B on the
+    ket row's in leg.
     """
     if abs((x - t) - round(x - t)) > 1e-9:
         raise ValueError("need x - t integer")
-    n = _half_steps(t)
+    _half_steps(t)
     if abs(x) > t:
         return 0.0 + 0.0j
-    if n == 0:
-        window = _cell_window([0.0])
-        AB = np.asarray(A_op) @ np.asarray(B_op)
-        P = _fold(_projector_row(ts, window), 0, AB, inner=True)
-        return _st_value(ts, window, [P])
     hm = heisenberg_mpo(ts, A_op, t, position=0.0)
-    window = _cell_window(hm.support() + [x])
+    window = _cell_window(hm.support() + [0.0, x])
     bra, ket = _heisenberg_rows(hm, window)
     ket = _fold(ket, window.index(float(x)), np.asarray(B_op), inner=True)
     return _st_value(ts, window, [_projector_row(ts, window), bra, ket],
@@ -1068,8 +1044,9 @@ def st_correlator(ts, A_op, B_op, x, t, ring_cells=None) -> complex:
 def _st_value(ts, window, layers, ring_cells=None) -> complex:
     """Normalized projector trace: infinite chain (environments) by default,
     or closed periodically over `ring_cells` unit cells for exact comparison
-    with a finite-ring dense trace."""
-    E = _pure_cell_channel(projector_mpo(ts))
+    with a finite-ring dense trace.  Layer 0 is the unfolded projector row;
+    its first cell gives the per-cell channel E (`ts` is not read)."""
+    E = _pure_cell_channel({"v": layers[0][0], "rho": layers[0][1]})
     if ring_cells is not None:
         extra = ring_cells - len(window) // 2
         if extra < 0:
@@ -1089,9 +1066,9 @@ def _st_value(ts, window, layers, ring_cells=None) -> complex:
 def otoc(ts, V_op, W_op, x, t, warn_nonunitary=True, ring_cells=None) -> complex:
     """F(V, W, x, t) = normalized Tr[P W_0^dag V_x(t)^dag W_0 V_x(t)].
 
-    Layers: the projector, the two rows of V_x(t)^dag and the two of V_x(t),
-    with W^dag and W on the out legs of the rows that follow them; at t = 0
-    the projector with W^dag V^dag W V on its in legs.
+    Layers, at every t: the projector, the two rows of V_x(t)^dag and the
+    two of V_x(t), with W^dag and W on the out legs of the rows that follow
+    them.
     """
     import warnings
 
@@ -1101,17 +1078,8 @@ def otoc(ts, V_op, W_op, x, t, warn_nonunitary=True, ring_cells=None) -> complex
         for name, op in (("V", V_op), ("W", W_op)):
             if np.abs(op @ op.conj().T - np.eye(op.shape[0])).max() > 1e-9:
                 warnings.warn(f"{name} is not unitary; OTOC computed anyway")
-    n = _half_steps(t)
-    if n == 0:
-        window = _cell_window([0.0, x])
-        w_at, v_at = window.index(0.0), window.index(float(x))
-        P = _projector_row(ts, window)
-        for where, op in ((w_at, W_op.conj().T), (v_at, V_op.conj().T), (w_at, W_op),
-                          (v_at, V_op)):
-            P = _fold(P, where, op, inner=True)
-        return _st_value(ts, window, [P])
     hm = heisenberg_mpo(ts, V_op, t, position=x)
-    window = _cell_window(hm.support() + [0.0])
+    window = _cell_window(hm.support() + [0.0, x])
     w_at = window.index(0.0)
     bra, ket = _heisenberg_rows(hm, window)
     layers = [

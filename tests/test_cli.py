@@ -116,6 +116,27 @@ def test_run_records_bad_operator_label(tmp_path, capsys):
     assert (tmp_path / "o" / "q.csv").read_text().strip().count("\n") == 0
 
 
+def test_run_skips_two_point_off_the_integer_grid(tmp_path, capsys):
+    # two_point is defined at integer x and t: other grid points are skipped,
+    # never evaluated at a truncated (x, t)
+    config = {
+        "model": "zoo:fibonacci",
+        "initial_state": "3",
+        "quantities": [{"name": "two_point", "O": "e1", "O2": "e1", "label": "q",
+                        "x": [0, 0.5], "t": [1, 1.5]}],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = run_cli(["run", str(cfg), "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert rc == 1
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    skipped = sorted((e["point"]["x"], e["point"]["t"]) for e in manifest["errors"])
+    assert skipped == [(0.0, 1.5), (0.5, 1.0), (0.5, 1.5)]
+    rows = (tmp_path / "o" / "q.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[2:4] for r in rows] == [["0.0", "1.0"]]
+
+
 @pytest.mark.parametrize("text", [
     json.dumps({"model": "zoo:fibonacci", "initial_state": "4", "quantities": []}),
     json.dumps({"model": "zoo:no-such-model", "initial_state": "3", "quantities": []}),
@@ -165,6 +186,15 @@ def test_oracle_command(capsys):
                     "--O", "e3", "--t", "1"]) == 0
     out = capsys.readouterr().out
     assert "solvable subspace dim 7" in out
+
+
+def test_oracle_command_honours_explicit_cap(capsys):
+    # an explicit --cap 64 is the amplitude cap: a 4-site Fibonacci ring has
+    # 81 amplitudes, so the command stops with one error line and exit code 2
+    assert run_cli(["--cap", "64", "oracle", "zoo:fibonacci", "--L", "2",
+                    "--t", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("oracle error:") and err.count("\n") == 1
 
 
 def test_cli_import_leaves_scipy_out():

@@ -386,7 +386,8 @@ def test_st_correlator_dual_unitary_vanishes_inside(d3_ts):
 
 def test_st_correlator_vs_dense_oracle(fib_ts):
     circ = orc.DenseCircuit.from_tensor_set(fib_ts, L=4)
-    for (i, j, x, t) in [(0, 1, 0.0, 1), (2, 2, 1.0, 1), (0, 0, -1.0, 1)]:
+    for (i, j, x, t) in [(0, 1, 0.0, 1), (2, 2, 1.0, 1), (0, 0, -1.0, 1),
+                         (0, 0, 0.0, 0), (2, 2, 0.0, 0)]:
         eng = mpo.st_correlator(fib_ts, E_OPS[i], E_OPS[j], x, t, ring_cells=4)
         ora = orc.oracle_st_correlator(circ, E_OPS[i], E_OPS[j], x, t)
         assert abs(eng - ora) < 1e-12
@@ -402,6 +403,17 @@ def test_otoc_identity_and_hopf_oracle(fib_ts, d3_ts):
         eng = mpo.otoc(d3_ts, V, W, x, t, warn_nonunitary=False)
         ora = orc.oracle_otoc(circ, V, W, x, t)
         assert abs(eng - ora) < 1e-10, (x, t)
+
+
+def test_otoc_ring_at_t0_vs_dense_oracle(fib_ts):
+    # t = 0 runs the same layers as t > 0, ring closure included
+    rng = np.random.default_rng(11)
+    V, W = random_unitary(3, rng), random_unitary(3, rng)
+    circ = orc.DenseCircuit.from_tensor_set(fib_ts, L=4)
+    for x in (0.0, 1.0, -1.0):
+        eng = mpo.otoc(fib_ts, V, W, x, 0, warn_nonunitary=False, ring_cells=4)
+        ora = orc.oracle_otoc(circ, V, W, x, 0)
+        assert abs(eng - ora) < 1e-12, x
 
 
 def test_otoc_weak_vs_embedded_network(fib_ts):

@@ -69,6 +69,13 @@ def test_heisenberg_mpo_bond_dim_and_support(d3_ts):
     assert hm_r.support()[0] == -1.5 and hm_r.support()[-1] == 2.0
 
 
+def test_heisenberg_mpo_at_t0_has_no_columns(fib_ts):
+    hm = mpo.heisenberg_mpo(fib_ts, np.diag([1.0, 2.0, 3.0]), 0)
+    assert hm.support() == []
+    with pytest.raises(ValueError):
+        hm.to_dense()
+
+
 def test_heisenberg_mpo_dense_vs_network_block(fib_ts):
     rng = np.random.default_rng(7)
     O = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
