@@ -13,8 +13,9 @@ hash, library version, and tolerances, sufficient to re-run the batch.
 
 Exit codes: 0 success; 1 a check failed (verify), the initial state is
 outside the solvable subspace or a point was skipped (run, after every CSV
-and the manifest are written); 2 unreadable or invalid input (oracle: a
-ring over the amplitude cap).
+and the manifest are written); 2 unreadable or invalid input: an unknown or
+malformed model, state or operator (every subcommand; one error line, no
+traceback) or, for oracle, a ring over the amplitude cap.
 """
 
 from __future__ import annotations
@@ -350,19 +351,18 @@ def _append_oracle_check(pair, ts, config, q, rows, L, path):
 
 
 def cmd_oracle(args) -> int:
-    pair = _load_model(args.model, tol=args.tol)
-    ts = build_tensors(pair)
     cap = oracle.DEFAULT_AMPLITUDE_CAP if args.cap is None else args.cap
     try:
+        ts = build_tensors(_load_model(args.model, tol=args.tol))
+        O = _single_site_operator(args.O, ts.d_v)
         circ = oracle.DenseCircuit.from_tensor_set(ts, L=args.L, amplitude_cap=cap)
-    except MemoryError as exc:
+        psi0 = _dense_initial_state(circ, args.state, ts.d_v)
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 2
-    psi0 = _dense_initial_state(circ, args.state, ts.d_v)
     info = oracle.subspace(circ)
     print(f"ring of {circ.n_sites} sites, Hilbert dim {circ.d ** circ.n_sites}, "
           f"solvable subspace dim {info.dimension}")
-    O = _single_site_operator(args.O, ts.d_v)
     for t in _grid({"start": 0.0, "stop": args.t, "step": 0.5}):
         val = oracle.oracle_expectation(circ, psi0, O, 0.0, t)
         print(f"  t={t:4.1f}  <O_0(t)> = {val.real:+.12f} {val.imag:+.3e}j")
@@ -373,7 +373,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_revival(args) -> int:
-    pair = _load_model(args.model, tol=args.tol)
+    try:
+        pair = _load_model(args.model, tol=args.tol)
+    except (ValueError, OSError) as exc:
+        print(f"revival error: {exc}", file=sys.stderr)
+        return 2
     eta, nu = exponent(pair.algebra, cap=64 if args.cap is None else args.cap)
     print(f"exponent: eta = {eta}, nu = {nu}")
     print(f"revival-time bound for L = {args.L}: eta * L = {eta * args.L}")
@@ -391,7 +395,11 @@ def cmd_revival(args) -> int:
 
 
 def cmd_export_spec(args) -> int:
-    pair = _load_model(args.model, tol=args.tol)
+    try:
+        pair = _load_model(args.model, tol=args.tol)
+    except (ValueError, OSError) as exc:
+        print(f"export-spec error: {exc}", file=sys.stderr)
+        return 2
     doc = algebra_to_dict(pair.algebra, reps={"rho": pair.rho},
                           coreps={"v": pair.v})
     Path(args.out).write_text(json.dumps(doc, indent=1))

@@ -197,9 +197,37 @@ def test_oracle_command_honours_explicit_cap(capsys):
     assert err.startswith("oracle error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "zoo:nope"],
+    ["revival", "zoo:nope"],
+    ["export-spec", "zoo:nope", "--out", "unused.json"],
+    ["oracle", "zoo:fibonacci", "--state", "9"],
+    ["oracle", "zoo:fibonacci", "--O", "e9"],
+])
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    # an unknown model, state or operator is one error line and exit code 2
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]} error:") and err.count("\n") == 1
+    assert not (tmp_path / "unused.json").exists()
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test-only dependency: the library must not import it
     code = "import sys, hopfbrick.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_quench_layer_leaves_scipy_out():
+    # the sector finder and the operator columns are numpy only
+    code = ("import sys, numpy as np; from hopfbrick import build_tensors, mpo, zoo; "
+            "ts = build_tensors(zoo.model('dihedral-3')); "
+            "state = mpo.MPSState.product([1, 1], [1, 1]); "
+            "mpo.equilibration(ts, state); mpo.expectation(ts, np.diag([1, 0]), 1.5, state); "
+            "print('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -348,6 +348,105 @@ def test_equilibration_rates(fib_ts, fib_state, d3_ts, d3_state):
     assert infoD["unit_multiplicity"] == 1
 
 
+
+def _seeded_mps(seed):
+    """A random bond-4 two-site MPS on dihedral-3's qubits (transfer dim 576)."""
+    rng = np.random.default_rng(seed)
+    return mpo.MPSState(*[rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+                          for _ in range(2)])
+
+
+@pytest.fixture(scope="module", params=["fib", "d3"] + [f"mps{s}" for s in range(4)])
+def quench_case(request, fib_ts, fib_state, d3_ts, d3_state):
+    """(tensor set, state) of the Fibonacci and dihedral-3 product states and
+    of seeded bond-4 dihedral-3 MPSs."""
+    if request.param == "fib":
+        return fib_ts, fib_state
+    if request.param == "d3":
+        return d3_ts, d3_state
+    return d3_ts, _seeded_mps(int(request.param[3:]))
+
+
+def _dense_equilibration(C, tol=mpo.TOL_NUM):
+    vals = np.linalg.eigvals(C)
+    inside = vals[np.abs(vals) < 1 - tol]
+    return (-np.log(np.abs(inside).max()),
+            int(np.count_nonzero(np.abs(vals) >= 1 - tol)))
+
+
+def test_sectors_partition_and_block_diagonal(quench_case):
+    ts, state = quench_case
+    C = state.transfer_stack(ts).cell()
+    sectors = mpo._sectors(C)
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(len(C)))
+    label = np.empty(len(C), dtype=int)
+    for k, sec in enumerate(sectors):
+        label[sec] = k
+    off = label[:, None] != label[None, :]
+    assert np.all(C[off] == 0.0)
+
+
+def test_sectors_of_a_matrix_without_zeros_is_one():
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=(7, 7)) + 1.0j
+    assert [list(sec) for sec in mpo._sectors(M)] == [list(range(7))]
+
+
+def test_sectors_follow_links_either_way():
+    # a one-way chain 4 -> 0 -> 2 and a one-way pair 3 -> 1; 5 is linked to nothing
+    M = np.zeros((6, 6))
+    M[0, 4] = M[2, 0] = M[1, 3] = M[5, 5] = 1.0
+    assert [list(sec) for sec in mpo._sectors(M)] == [[0, 2, 4], [1, 3], [5]]
+
+
+def test_sector_spectrum_equals_dense_eigvals(quench_case):
+    from scipy.optimize import linear_sum_assignment
+    ts, state = quench_case
+    C = state.transfer_stack(ts).cell()
+    blocks = np.concatenate([np.linalg.eigvals(C[np.ix_(sec, sec)])
+                             for sec in mpo._sectors(C)])
+    dense = np.linalg.eigvals(C)
+    assert blocks.shape == dense.shape
+    dist = np.abs(blocks[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() < 1e-12
+
+
+def test_equilibration_matches_dense_path(quench_case):
+    ts, state = quench_case
+    lam1, info = mpo.equilibration(ts, state)
+    rate, unit = _dense_equilibration(state.transfer_stack(ts).cell())
+    assert abs(info["rate"] - rate) < 1e-12
+    assert info["unit_multiplicity"] == unit
+    assert abs(info["rate"] + np.log(abs(lam1))) <= mpo.TOL_NUM
+
+
+def test_lambda1_does_not_depend_on_sector_order(quench_case, monkeypatch):
+    ts, state = quench_case
+    lam1, _ = mpo.equilibration(ts, state)
+    sectors = mpo._sectors
+    monkeypatch.setattr(mpo, "_sectors", lambda M: sectors(M)[::-1])
+    assert mpo.equilibration(ts, state)[0] == lam1
+    # the rule itself: among the ties in modulus, Im >= -tol, then largest Re
+    vals = np.linalg.eigvals(state.transfer_stack(ts).cell())
+    inside = vals[np.abs(vals) < 1 - mpo.TOL_NUM]
+    ties = inside[np.abs(inside) >= np.abs(inside).max() - mpo.TOL_NUM]
+    upper = ties[ties.imag >= -mpo.TOL_NUM]
+    assert lam1.imag >= -mpo.TOL_NUM
+    assert abs(lam1.real - upper.real.max()) < 1e-12
+
+
+def test_operator_column_apply_matches_dense(quench_case):
+    ts, state = quench_case
+    st = state.transfer_stack(ts)
+    rng = np.random.default_rng(11)
+    for kind, d in (("rho", ts.d_rho), ("v", ts.d_v)):
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        vec = rng.normal(size=st.dim) + 1j * rng.normal(size=st.dim)
+        for o in (op, None):
+            ref = st.T(kind, o) @ vec
+            assert np.linalg.norm(st.apply(kind, o, vec) - ref) <= 1e-13 * np.linalg.norm(ref)
+
 def test_saturation_onset_l20(fib_ts, fib_state):
     l = 20
     sat = mpo.renyi_replica(fib_ts, fib_state, l, l // 2 + 5, 2)
