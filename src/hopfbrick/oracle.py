@@ -8,6 +8,11 @@ Site conventions: the ring has 2L sites for L unit cells; physical position
 p (in half-integers) sits at site index 2p mod 2L.  At integer times even
 sites carry v-legs and odd sites rho-legs.  A full period applies the odd
 layer (pairs (2j-1, 2j), wrapping) and then the even layer (pairs (2j, 2j+1)).
+
+A state is a vector of d**n amplitudes or a block (d**n, k) of k state
+columns; every gate off the ring's wrapping pair is one matmul on a reshaped
+view, so a block costs one pass per layer.  Traces push the subspace basis through in column blocks of
+at most `COLUMN_BLOCK` amplitudes.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 DEFAULT_AMPLITUDE_CAP = 2 * 10 ** 4
 DENSE_U_CAP = 256
+COLUMN_BLOCK = 2 ** 20        # amplitudes per block of basis columns in a trace
 
 
 @dataclass
@@ -81,25 +87,26 @@ def basis_string_state(circuit: DenseCircuit, labels) -> np.ndarray:
 
 
 def _apply_pair_op(psi, op, p, n, d):
-    """Apply a two-site operator on sites (p, p+1 mod n) of a dense state."""
-    psi = psi.reshape((d,) * n)
+    """Apply a two-site operator on sites (p, p+1 mod n) of a state or column block."""
     if p == n - 1:                      # wrapping pair (n-1, 0)
-        moved = np.moveaxis(psi, [n - 1, 0], [0, 1])
-        moved = np.tensordot(op.reshape(d, d, d, d), moved, axes=([2, 3], [0, 1]))
-        psi = np.moveaxis(moved, [0, 1], [n - 1, 0])
+        arr = psi.reshape((d,) * n + (-1,))
+        out = np.tensordot(op.reshape(d, d, d, d), arr, axes=([2, 3], [n - 1, 0]))
+        out = np.moveaxis(out, [0, 1], [n - 1, 0])
     else:
-        left = psi.reshape(d ** p, d * d, d ** (n - p - 2))
-        out = np.einsum("ab,ibj->iaj", op.reshape(d * d, d * d), left)
-        psi = out
-    return psi.reshape(-1)
+        out = np.matmul(op, psi.reshape(d ** p, d * d, -1))
+    return out.reshape(psi.shape)
 
 
 def apply_layer(circuit: DenseCircuit, psi, layer) -> np.ndarray:
     """Apply one brickwork layer: 'odd' = pairs (2j-1, 2j), 'even' = (2j, 2j+1)."""
+    return _apply_gates(circuit, psi, circuit.gate, layer)
+
+
+def _apply_gates(circuit: DenseCircuit, psi, op, layer) -> np.ndarray:
+    """Apply the two-site `op` on every pair of a layer (the pairs are disjoint)."""
     n, d = circuit.n_sites, circuit.d
-    pairs = _layer_pairs(circuit, layer)
-    for p in pairs:
-        psi = _apply_pair_op(psi, circuit.gate, p, n, d)
+    for p in _layer_pairs(circuit, layer):
+        psi = _apply_pair_op(psi, op, p, n, d)
     return psi
 
 
@@ -117,16 +124,28 @@ def _layer_pairs(circuit: DenseCircuit, layer):
     return pairs
 
 
-def evolve(circuit: DenseCircuit, psi, steps) -> np.ndarray:
-    """Evolve by `steps` periods (multiple of 1/2; odd layer first)."""
+def _layer_sequence(steps) -> list:
+    """The layers of `steps` periods in order of application, odd layer first."""
     n_half = int(round(2 * steps))
     if abs(2 * steps - n_half) > 1e-12 or n_half < 0:
         raise ValueError("steps must be a non-negative multiple of 1/2")
-    out = np.asarray(psi, dtype=complex).reshape(-1).copy()
-    layer = "odd"
-    for _ in range(n_half):
+    return [("odd", "even")[k % 2] for k in range(n_half)]
+
+
+def evolve(circuit: DenseCircuit, psi, steps) -> np.ndarray:
+    """Evolve a state or a (dim, k) column block by `steps` periods."""
+    out = np.array(psi, dtype=complex)
+    for layer in _layer_sequence(steps):
         out = apply_layer(circuit, out, layer)
-        layer = "even" if layer == "odd" else "odd"
+    return out
+
+
+def _evolve_back(circuit: DenseCircuit, psi, steps) -> np.ndarray:
+    """Apply the adjoint circuit (undo `steps` periods) to a state or column block."""
+    adjoint = circuit.gate.conj().T
+    out = np.array(psi, dtype=complex)
+    for layer in reversed(_layer_sequence(steps)):
+        out = _apply_gates(circuit, out, adjoint, layer)
     return out
 
 
@@ -134,8 +153,7 @@ def evolution_matrix(circuit: DenseCircuit, steps=1) -> np.ndarray:
     dim = circuit.d ** circuit.n_sites
     if dim > DENSE_U_CAP:
         raise MemoryError(f"dense evolution operator dim {dim} exceeds {DENSE_U_CAP}")
-    cols = [evolve(circuit, np.eye(dim, dtype=complex)[:, k], steps) for k in range(dim)]
-    return np.stack(cols, axis=1)
+    return evolve(circuit, np.eye(dim, dtype=complex), steps)
 
 
 # -- projector subspace ------------------------------------------------------------
@@ -155,19 +173,8 @@ def _global_two_layer(circuit: DenseCircuit, first, second):
 
     `first` acts on odd pairs (2j-1, 2j), `second` on even pairs (2j, 2j+1).
     """
-    n, d = circuit.n_sites, circuit.d
-    dim = d ** n
-    out = np.eye(dim, dtype=complex)
-
-    def layer_of(op, pairs):
-        res = np.eye(dim, dtype=complex)
-        for p in pairs:
-            res = np.stack([_apply_pair_op(res[:, k], op, p, n, d) for k in range(dim)], axis=1)
-        return res
-
-    out = layer_of(first, _layer_pairs(circuit, "odd"))
-    out = layer_of(second, _layer_pairs(circuit, "even")) @ out
-    return out
+    eye = np.eye(circuit.d ** circuit.n_sites, dtype=complex)
+    return _apply_gates(circuit, _apply_gates(circuit, eye, first, "odd"), second, "even")
 
 
 def subspace(circuit: DenseCircuit) -> SubspaceInfo:
@@ -186,10 +193,7 @@ def subspace(circuit: DenseCircuit) -> SubspaceInfo:
     vals, vecs = np.linalg.eigh((Pg + Pg.conj().T) / 2)
     basis = vecs[:, vals > 0.5]
     # invariance: P_half U_o P = U_o P on the dense layer
-    Uo = np.eye(dim, dtype=complex)
-    for p in _layer_pairs(circuit, "odd"):
-        Uo = np.stack([_apply_pair_op(Uo[:, k], circuit.gate, p, n, d)
-                       for k in range(dim)], axis=1)
+    Uo = apply_layer(circuit, np.eye(dim, dtype=complex), "odd")
     resid = float(np.abs(Pg_half @ Uo @ Pg - Uo @ Pg).max())
     return SubspaceInfo(dimension=D, projector=Pg, projector_half=Pg_half,
                         basis=basis, invariance_residual=resid)
@@ -232,11 +236,11 @@ def site_of(circuit: DenseCircuit, x) -> int:
 
 
 def apply_site_op(circuit: DenseCircuit, psi, O, x) -> np.ndarray:
-    n, d = circuit.n_sites, circuit.d
-    s = site_of(circuit, x)
-    psi = np.asarray(psi, dtype=complex).reshape((d,) * n)
-    out = np.tensordot(np.asarray(O, dtype=complex), psi, axes=([1], [s]))
-    return np.moveaxis(out, 0, s).reshape(-1)
+    """Apply a one-site operator at position x to a state or column block."""
+    d = circuit.d
+    psi = np.asarray(psi, dtype=complex)
+    out = np.matmul(np.asarray(O, dtype=complex), psi.reshape(d ** site_of(circuit, x), d, -1))
+    return out.reshape(psi.shape)
 
 
 def oracle_expectation(circuit, psi0, O, x, t) -> complex:
@@ -284,77 +288,67 @@ def _subspace_basis_vectors(circuit: DenseCircuit):
         return None, dim                      # identity projector
     P = circuit.projector
     if np.abs(P - np.diag(np.diag(P))).max() < 1e-12:
-        # diagonal constraint: enumerate allowed strings
-        diag = np.round(np.diag(P).real).reshape(d, d).astype(int)
-        allowed = []
-        for code in range(dim):
-            s, rest = [], code
-            for _ in range(n):
-                s.append(rest % d)
-                rest //= d
-            s = s[::-1]
-            ok = all(diag[s[k], s[(k + 1) % n]] for k in range(n if not circuit.obc else n - 1))
-            if ok:
-                allowed.append(code)
-        basis = np.zeros((dim, len(allowed)), dtype=complex)
-        for col, code in enumerate(allowed):
-            basis[code, col] = 1.0
-        return basis, len(allowed)
+        # diagonal constraint: the allowed strings, in ascending code order
+        allowed = np.round(np.diag(P).real).reshape(d, d) != 0
+        digits = np.indices((d,) * n, sparse=True)
+        ok = np.ones((d,) * n, dtype=bool)
+        for k in range(n if not circuit.obc else n - 1):
+            ok &= allowed[digits[k], digits[(k + 1) % n]]
+        codes = np.flatnonzero(ok)
+        basis = np.zeros((dim, codes.size), dtype=complex)
+        basis[codes, np.arange(codes.size)] = 1.0
+        return basis, codes.size
     info = subspace(circuit)
     return info.basis, info.dimension
 
 
-def oracle_st_correlator(circuit, A_op, B_op, x, t) -> complex:
-    """Tr[P A_0(t) B_x(0)] / Tr[P] on the finite ring."""
+def _trace(circuit: DenseCircuit, bra_ket) -> complex:
+    """Sum over the subspace basis of <bra_k|ket_k>, divided by Tr[P].
+
+    `bra_ket(block)` maps a (dim, k) block of basis columns to the (bra, ket)
+    blocks; blocks hold at most `COLUMN_BLOCK` amplitudes (one column if the
+    ring is larger), so an identity trace never forms a dim x dim array.
+    """
     basis, D = _subspace_basis_vectors(circuit)
     dim = circuit.d ** circuit.n_sites
+    width = max(1, COLUMN_BLOCK // dim)
     total = 0.0 + 0.0j
-    for k in range(D):
-        vec = basis[:, k] if basis is not None else np.eye(dim, dtype=complex)[:, k]
-        w = apply_site_op(circuit, vec, B_op, x)
-        w = evolve(circuit, w, t)
-        w = apply_site_op(circuit, w, A_op, 0.0)
-        # undo the evolution on the bra side: <vec| U(t)^dag A U(t) B |vec>
-        bra = evolve(circuit, vec, t)
-        total += np.vdot(bra, w)
+    for start in range(0, D, width):
+        k = min(width, D - start)
+        if basis is None:
+            block = np.zeros((dim, k), dtype=complex)
+            block[np.arange(start, start + k), np.arange(k)] = 1.0
+        else:
+            block = basis[:, start:start + k]
+        total += np.vdot(*bra_ket(block))
     return complex(total / D)
+
+
+def oracle_st_correlator(circuit, A_op, B_op, x, t) -> complex:
+    """Tr[P A_0(t) B_x(0)] / Tr[P] on the finite ring."""
+
+    def bra_ket(block):
+        # <vec| U(t)^dag A U(t) B |vec>: the bra side is evolved forward too
+        w = evolve(circuit, apply_site_op(circuit, block, B_op, x), t)
+        return evolve(circuit, block, t), apply_site_op(circuit, w, A_op, 0.0)
+
+    return _trace(circuit, bra_ket)
 
 
 def oracle_otoc(circuit, V_op, W_op, x, t) -> complex:
     """(normalized) Tr[P W_0^dag V_x(t)^dag W_0 V_x(t)] / Tr[P]."""
-    basis, D = _subspace_basis_vectors(circuit)
-    dim = circuit.d ** circuit.n_sites
+    V_op, W_op = np.asarray(V_op, dtype=complex), np.asarray(W_op, dtype=complex)
 
-    def v_heis(vec, dagger=False):
-        w = evolve(circuit, vec, t)
-        w = apply_site_op(circuit, w, V_op.conj().T if dagger else V_op, x)
+    def v_heis(block, V):
+        w = apply_site_op(circuit, evolve(circuit, block, t), V, x)
         return _evolve_back(circuit, w, t)
 
-    total = 0.0 + 0.0j
-    for k in range(D):
-        vec = basis[:, k] if basis is not None else np.eye(dim, dtype=complex)[:, k]
-        w = v_heis(vec)
-        w = apply_site_op(circuit, w, W_op, 0.0)
-        w = v_heis(w, dagger=True)
-        w = apply_site_op(circuit, w, W_op.conj().T, 0.0)
-        total += np.vdot(vec, w)
-    return complex(total / D)
+    def bra_ket(block):
+        w = apply_site_op(circuit, v_heis(block, V_op), W_op, 0.0)
+        w = v_heis(w, V_op.conj().T)
+        return block, apply_site_op(circuit, w, W_op.conj().T, 0.0)
 
-
-def _evolve_back(circuit: DenseCircuit, psi, steps) -> np.ndarray:
-    """Apply the adjoint circuit (undo `steps` periods)."""
-    n_half = int(round(2 * steps))
-    out = np.asarray(psi, dtype=complex).reshape(-1).copy()
-    layers = []
-    layer = "odd"
-    for _ in range(n_half):
-        layers.append(layer)
-        layer = "even" if layer == "odd" else "odd"
-    adj = DenseCircuit(L=circuit.L, d=circuit.d, gate=circuit.gate.conj().T,
-                       obc=circuit.obc, amplitude_cap=circuit.amplitude_cap)
-    for layer in reversed(layers):
-        out = apply_layer(adj, out, layer)
-    return out
+    return _trace(circuit, bra_ket)
 
 
 def heisenberg_block(gate, O, t, leg) -> np.ndarray:
@@ -393,11 +387,12 @@ def embed_operator(circuit: DenseCircuit, block, first_site) -> "callable":
     width = int(round(np.log(block.shape[0]) / np.log(d)))
 
     def apply(psi):
+        """Apply the block to a state or column block."""
         sites = [(first_site + k) % n for k in range(width)]
-        arr = np.asarray(psi, dtype=complex).reshape((d,) * n)
-        arr = np.moveaxis(arr, sites, range(width))
-        arr = (block @ arr.reshape(d ** width, -1)).reshape((d,) * n)
-        return np.moveaxis(arr, range(width), sites).reshape(-1)
+        psi = np.asarray(psi, dtype=complex)
+        arr = np.moveaxis(psi.reshape((d,) * n + (-1,)), sites, range(width))
+        arr = (block @ arr.reshape(d ** width, -1)).reshape(arr.shape)
+        return np.moveaxis(arr, range(width), sites).reshape(psi.shape)
 
     return apply
 
@@ -410,19 +405,15 @@ def oracle_otoc_embedded(circuit: DenseCircuit, heis_block, first_site, W_op, t)
     network; the block (an independently contracted cone network) is embedded
     on the ring and traced against the global projector with the W's.
     """
-    basis, D = _subspace_basis_vectors(circuit)
-    dim = circuit.d ** circuit.n_sites
+    W_op = np.asarray(W_op, dtype=complex)
     V_t = embed_operator(circuit, heis_block, first_site)
     Vd_t = embed_operator(circuit, heis_block.conj().T, first_site)
-    total = 0.0 + 0.0j
-    for k in range(D):
-        vec = basis[:, k] if basis is not None else np.eye(dim, dtype=complex)[:, k]
-        w = V_t(vec)
-        w = apply_site_op(circuit, w, W_op, 0.0)
-        w = Vd_t(w)
-        w = apply_site_op(circuit, w, W_op.conj().T, 0.0)
-        total += np.vdot(vec, w)
-    return complex(total / D)
+
+    def bra_ket(block):
+        w = Vd_t(apply_site_op(circuit, V_t(block), W_op, 0.0))
+        return block, apply_site_op(circuit, w, W_op.conj().T, 0.0)
+
+    return _trace(circuit, bra_ket)
 
 
 def oracle_quantities(circuit, psi0, t, observables=(), two_points=(), renyis=(),

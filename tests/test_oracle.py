@@ -190,6 +190,70 @@ def test_heisenberg_block_matches_direct():
     assert np.abs(got_r - direct_r).max() < 1e-13
 
 
+def _random_matrix(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+@pytest.mark.parametrize("chain,steps", [
+    ("ring", 1), ("ring", 2.5), ("open5", 1.5), ("open5", 2),
+])
+def test_block_evolve_equals_column_by_column(chain, steps, fib_ts):
+    # the ring's odd layer holds the wrapping pair (n-1, 0)
+    circ = (orc.DenseCircuit.from_tensor_set(fib_ts, L=3) if chain == "ring"
+            else orc.open_chain(fib_ts, 5))
+    block = _random_matrix(circ.d ** circ.n_sites, 5, seed=4)
+    for step in (orc.evolve, orc._evolve_back):
+        got = step(circ, block, steps)
+        want = np.stack([step(circ, block[:, k], steps) for k in range(5)], axis=1)
+        assert got.shape == block.shape
+        assert np.abs(got - want).max() < 1e-13
+    O = _random_matrix(3, 3, seed=5)
+    got = orc.apply_site_op(circ, block, O, 1.5)
+    want = np.stack([orc.apply_site_op(circ, block[:, k], O, 1.5) for k in range(5)], axis=1)
+    assert np.abs(got - want).max() < 1e-13
+
+
+def test_trace_over_several_column_blocks(fib_ts, d3_ts, monkeypatch):
+    V3, W3, A3, B3 = (_random_matrix(3, 3, seed=s) for s in range(4))
+    V2, W2 = _random_matrix(2, 2, seed=5), _random_matrix(2, 2, seed=6)
+    fib = orc.DenseCircuit.from_tensor_set(fib_ts, L=3)      # projector basis, D = 18
+    d3 = orc.DenseCircuit.from_tensor_set(d3_ts, L=3)        # identity basis, D = 64
+    block = orc.heisenberg_block(fib_ts.gate, V3, 1, "v")
+
+    def values():
+        return [orc.oracle_otoc(fib, V3, W3, 1.0, 1.5),
+                orc.oracle_st_correlator(fib, A3, B3, 1.0, 1),
+                orc.oracle_otoc_embedded(fib, block, 1, W3, 1),
+                orc.oracle_otoc(d3, V2, W2, 0.5, 1),
+                orc.oracle_st_correlator(d3, V2, W2, 1.0, 1.5)]
+
+    one_block = values()
+    # blocks of 5 columns on the 729-amplitude ring, 57 on the 64-amplitude one
+    monkeypatch.setattr(orc, "COLUMN_BLOCK", 5 * 729 + 1)
+    assert np.abs(np.array(values()) - one_block).max() < 1e-13
+    # single columns on the larger ring, 7 per block on the smaller
+    monkeypatch.setattr(orc, "COLUMN_BLOCK", 7 * 64)
+    assert np.abs(np.array(values()) - one_block).max() < 1e-13
+
+
+def test_otoc_on_odd_open_chain_matches_dense_matrices():
+    ts = build_tensors(zoo.model("dihedral-3"))
+    circ = orc.open_chain(ts, 5)
+    V, W = _random_matrix(2, 2, seed=7), _random_matrix(2, 2, seed=8)
+    assert abs(orc.oracle_otoc(circ, np.eye(2), np.diag([1.0, -1.0]), 1.0, 1.0) - 1) < 1e-13
+    U = orc.evolution_matrix(circ, 1.0)
+    V_x = np.kron(np.eye(4), np.kron(V, np.eye(4)))          # x = 1.0 is site 2 of 5
+    W_0 = np.kron(W, np.eye(16))
+    V_t = U.conj().T @ V_x @ U
+    want = np.trace(W_0.conj().T @ V_t.conj().T @ W_0 @ V_t) / 32
+    assert abs(orc.oracle_otoc(circ, V, W, 1.0, 1.0) - want) < 1e-12
+    psi = _random_matrix(32, 1, seed=3)[:, 0]
+    for steps in (-1, 0.3):
+        with pytest.raises(ValueError):
+            orc._evolve_back(circ, psi, steps)
+
+
 def test_amplitude_cap():
     ts = build_tensors(zoo.model("fibonacci"))
     with pytest.raises(MemoryError):
