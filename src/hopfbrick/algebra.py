@@ -693,8 +693,9 @@ def _num(v):
 
 def _complex_array(raw, n, what):
     arr = np.zeros(n, dtype=complex)
-    if len(raw) != n:
-        raise AlgebraSpecError(f"{what}: expected {n} entries, got {len(raw)}")
+    if not isinstance(raw, list) or len(raw) != n:
+        got = len(raw) if isinstance(raw, list) else type(raw).__name__
+        raise AlgebraSpecError(f"{what}: expected a list of {n} entries, got {got}")
     for i, item in enumerate(raw):
         if isinstance(item, (list, tuple)) and len(item) == 2:
             arr[i] = _num(item[0]) + 1j * _num(item[1])

@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import canonical_power, exponent, tier_chain
-from .tensors import SolvableTensorSet, build_projectors
+from .algebra import canonical_power, exponent
+from .tensors import SolvableTensorSet, build_projectors, is_weak_algebra
 
 TOL_NUM = 1e-9
 MEMORY_CAP = 2 ** 26        # complex entries one engine intermediate may hold
@@ -114,7 +114,6 @@ class MPSState:
 
     rho_site: np.ndarray
     v_site: np.ndarray
-    translation_invariant: bool = True
     _env: tuple | None = field(default=None, repr=False)
     _stacks: dict = field(default_factory=dict, repr=False)
 
@@ -194,9 +193,10 @@ class MPSState:
         rdm = rdm.reshape(d1 * d2, d1 * d2)
         return rdm / np.trace(rdm)
 
-    def check_projector_invariance(self, pair, tol=TOL_NUM) -> float:
-        """Residual of the solvable-subspace membership, checked on a window."""
-        if "bialgebra" in tier_chain(pair.algebra.tier):
+    def check_projector_invariance(self, pair) -> float:
+        """Residual of the solvable-subspace membership, checked on a window;
+        0 for a model that carries no projectors."""
+        if not is_weak_algebra(pair.algebra):
             return 0.0
         pp = build_projectors(pair)
         rdm_vr = self.pair_rdm(self.v_site, self.rho_site)
@@ -399,11 +399,9 @@ class HeisenbergMPO:
         return dense.reshape(bra.shape[:n] + ket.shape[n:])
 
 
-def heisenberg_mpo(ts, O, t, leg=None, position=0.0) -> HeisenbergMPO:
-    if leg is None:
-        leg = leg_of(position, t)
+def heisenberg_mpo(ts, O, t, position=0.0) -> HeisenbergMPO:
     return HeisenbergMPO(ts=ts, op=np.asarray(O, dtype=complex), t=t,
-                         leg=leg, position=position)
+                         leg=leg_of(position, t), position=position)
 
 
 # -- quench expectation values ----------------------------------------------------------
@@ -421,14 +419,13 @@ def _state_columns(state: MPSState, n_cells, ops) -> complex:
             / _columns(lam_l, apply, n_cells, {}, lam_r))
 
 
-def expectation(ts, O, t, state: MPSState, x=0.0, leg=None) -> complex:
+def expectation(ts, O, t, state: MPSState, x=0.0) -> complex:
     """<O_x(t)> in the quench from a translation-invariant state.
 
     2t cells with O on the last column (v-leg) or on column 0 (rho-leg); at
     t = 0 one cell of the state.
     """
-    if leg is None:
-        leg = leg_of(x, t)
+    leg = leg_of(x, t)
     n = _half_steps(t)
     if n == 0:
         return _state_columns(state, 1, {1 if leg == "v" else 0: O})
@@ -871,7 +868,7 @@ def _sectors(M):
     return sorted(sectors, key=lambda sec: sec[0])
 
 
-def equilibration(ts, state, tol=TOL_NUM):
+def equilibration(ts, state):
     """(lambda_1, info): subleading transfer eigenvalue and decay data.
 
     The spectrum of the cell is the union of the spectra of its diagonal
@@ -879,8 +876,8 @@ def equilibration(ts, state, tol=TOL_NUM):
     one 576 x 576 matrix); blocks of one size go to one batched `eigvals`.
     lambda_1 is the largest-modulus eigenvalue strictly inside the unit
     circle, and the rate is -log of that modulus; among the eigenvalues
-    within `tol` of it, lambda_1 is the one with Im >= -tol, then the largest
-    real part, so it does not depend on the order of the sectors.
+    within `TOL_NUM` of it, lambda_1 is the one with Im >= -TOL_NUM, then the
+    largest real part, so it does not depend on the order of the sectors.
     Equilibration of an L_A-cell block happens at
     t* = L_A/2 + O(log 1/|l1|).
     """
@@ -893,13 +890,13 @@ def equilibration(ts, state, tol=TOL_NUM):
     radius = float(np.abs(vals).max())
     if abs(radius - 1.0) > 1e-6:
         raise FloatingPointError(f"transfer spectral radius {radius:.6f} != 1")
-    inside = vals[np.abs(vals) < 1 - tol]
-    unit_count = int(np.count_nonzero(np.abs(vals) >= 1 - tol))
+    inside = vals[np.abs(vals) < 1 - TOL_NUM]
+    unit_count = int(np.count_nonzero(np.abs(vals) >= 1 - TOL_NUM))
     if not inside.size:
         raise FloatingPointError("no eigenvalue strictly inside the unit circle")
     top = float(np.abs(inside).max())
-    ties = inside[np.abs(inside) >= top - tol]
-    lam1 = complex(min(ties, key=lambda v: (v.imag < -tol, -v.real)))
+    ties = inside[np.abs(inside) >= top - TOL_NUM]
+    lam1 = complex(min(ties, key=lambda v: (v.imag < -TOL_NUM, -v.real)))
     return lam1, {"rate": -math.log(top) if top > 0 else math.inf,
                   "unit_multiplicity": unit_count}
 
@@ -908,17 +905,18 @@ def equilibration(ts, state, tol=TOL_NUM):
 
 
 def projector_mpo(ts: SolvableTensorSet):
-    """Per-site MPO tensors of the global projector; bond 1 for bialgebra tier.
+    """Per-site MPO tensors of the global projector, built from
+    `ts.projectors`; bond 1 for a model that carries no projectors.
 
     Axes [bond_left, bond_right, out, in].  The v-site (integer position)
     sits between a Q bond on its left cut and a P bond on its right cut; the
     rho-site between a P bond (left) and a Q bond (right).  Each bond is cut
     to its exact rank (Fibonacci: v -> rho 2 of 9, rho -> v 9 of 9).
     """
-    if "bialgebra" in tier_chain(ts.algebra.tier):
+    pp = ts.projectors
+    if pp is None:
         return {"v": np.eye(ts.d_v, dtype=complex)[None, None],
                 "rho": np.eye(ts.d_rho, dtype=complex)[None, None]}
-    pp = build_projectors(ts.pair)
     dv, dr = ts.d_v, ts.d_rho
     P = pp.P.reshape(dv, dr, dv, dr)        # [i, a, j, b]
     Q = pp.Q.reshape(dr, dv, dr, dv)        # [a, i, b, j]
@@ -954,7 +952,7 @@ def _cut_bond(left, right):
     return left, np.tensordot(vh[:r], right, axes=1)
 
 
-def _leading_environment(M, tol=TOL_NUM):
+def _leading_environment(M):
     """(lambda, [(l_k, r_k)]) of a channel matrix; pairs are biorthonormal.
 
     A degenerate leading modulus returns every eigenpair on that circle (the
@@ -965,7 +963,7 @@ def _leading_environment(M, tol=TOL_NUM):
     wl, vl = np.linalg.eig(M.T)
     order = np.argsort(-np.abs(vals))
     lam = vals[order[0]]
-    keep = [k for k in range(n) if np.abs(vals[k]) >= np.abs(lam) * (1 - tol)]
+    keep = [k for k in range(n) if np.abs(vals[k]) >= np.abs(lam) * (1 - TOL_NUM)]
     pairs = []
     for k in keep:
         r = vr[:, k]

@@ -58,15 +58,10 @@ class DenseCircuit:
         """Build from a SolvableTensorSet (requires d_rho = d_v)."""
         if ts.d_rho != ts.d_v:
             raise ValueError("dense oracle needs d_rho = d_v")
-        proj = proj_q = None
-        from .algebra import tier_chain
-        if "weak-bialgebra" in tier_chain(ts.algebra.tier) and \
-                "bialgebra" not in tier_chain(ts.algebra.tier):
-            from .tensors import build_projectors
-            pp = build_projectors(ts.pair)
-            proj, proj_q = pp.P, pp.Q
-        return cls(L=L, d=ts.d_rho, gate=ts.gate_matrix, projector=proj,
-                   projector_q=proj_q, **kw)
+        pp = ts.projectors
+        return cls(L=L, d=ts.d_rho, gate=ts.gate_matrix,
+                   projector=None if pp is None else pp.P,
+                   projector_q=None if pp is None else pp.Q, **kw)
 
 
 def product_state(circuit: DenseCircuit, site_vectors) -> np.ndarray:

@@ -201,17 +201,12 @@ def tensor_power_corep(v: Corepresentation, n: int, entry_cap: int = 10 ** 6) ->
 
 @dataclass
 class RestrictedGate:
-    """A gate (and its flattened matrix) restricted to an invariant subspace."""
+    """A gate restricted to an invariant subspace."""
 
     gate: np.ndarray            # restricted 4-leg tensor [i, a', b', j] (rho-side case)
     isometry: np.ndarray        # columns: orthonormal basis of the subspace
     leg: str                    # "rho" or "v"
     residual: float             # invariance violation of the original gate
-
-    @property
-    def matrix(self):
-        di, da, db, dj = self.gate.shape
-        return self.gate.reshape(di * da, db * dj)
 
 
 def restrict_gate(pair: RepPair, subspace, leg="rho", tol=TOL_ALG) -> RestrictedGate:

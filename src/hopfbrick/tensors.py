@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,13 @@ from .algebra import AxiomError, TOL_ALG, tier_chain
 from .representation import RepPair, check_corepresentation, check_representation
 
 SINGULAR_ZERO = 1e-8   # singular values below this are exact zeros of a weak gate
+
+
+def is_weak_algebra(A) -> bool:
+    """The weak-model rule: a weak model (tier chain with weak-bialgebra, not
+    bialgebra) carries projectors and is exempt from the bialgebra-* identities."""
+    chain = tier_chain(A.tier)
+    return "weak-bialgebra" in chain and "bialgebra" not in chain
 
 
 def gate_tensor(pair: RepPair) -> np.ndarray:
@@ -76,12 +84,17 @@ class SolvableTensorSet:
         return self.gate.reshape(dv * dr, dr * dv)
 
     def is_weak(self):
-        return "weak-bialgebra" in tier_chain(self.algebra.tier) and \
-            "bialgebra" not in tier_chain(self.algebra.tier)
+        return is_weak_algebra(self.algebra)
+
+    @cached_property
+    def projectors(self) -> ProjectorPair | None:
+        """The model's ProjectorPair, built on first use; None unless weak."""
+        return build_projectors(self.pair) if self.is_weak() else None
 
 
-def build_tensors(pair: RepPair, tol=TOL_ALG, check=True) -> SolvableTensorSet:
-    """Construct the gate / rho / v / primed tensors and verify the identities."""
+def build_tensors(pair: RepPair, tol=TOL_ALG) -> SolvableTensorSet:
+    """Construct the gate / rho / v / primed tensors and verify the identities:
+    every residual within `tol`, the bialgebra-* ones unless the model is weak."""
     A = pair.algebra
     d = A.dim
     dr, dv = pair.rho.dim, pair.v.dim
@@ -108,20 +121,18 @@ def build_tensors(pair: RepPair, tol=TOL_ALG, check=True) -> SolvableTensorSet:
         unit_vec=A.unit.copy(),
         counit_vec=A.counit.copy(),
     )
-    if check:
-        rep_rpt = check_representation(pair.rho, tol)
-        corep_rpt = check_corepresentation(pair.v, tol)
-        ts.residuals["representation"] = max(v for k, v in rep_rpt.items() if k != "pass")
-        ts.residuals["corepresentation"] = max(v for k, v in corep_rpt.items() if k != "pass")
-        ts.residuals.update(verify_pentagon(ts))
-        enforce_bialgebra = "bialgebra" in tier_chain(A.tier)
-        bad = [k for k, v in ts.residuals.items()
-               if isinstance(v, float) and v > tol
-               and (enforce_bialgebra or not k.startswith("bialgebra"))]
-        if bad:
-            k = bad[0]
-            raise AxiomError(k, ts.residuals[k], f"solvable-tensor identity '{k}' fails: "
-                                                 f"{ts.residuals[k]:.3e}")
+    rep_rpt = check_representation(pair.rho, tol)
+    corep_rpt = check_corepresentation(pair.v, tol)
+    ts.residuals["representation"] = max(v for k, v in rep_rpt.items() if k != "pass")
+    ts.residuals["corepresentation"] = max(v for k, v in corep_rpt.items() if k != "pass")
+    ts.residuals.update(verify_pentagon(ts))
+    weak = ts.is_weak()
+    bad = [k for k, v in ts.residuals.items()
+           if not v <= tol and not (weak and k.startswith("bialgebra"))]
+    if bad:
+        k = bad[0]
+        raise AxiomError(k, ts.residuals[k], f"solvable-tensor identity '{k}' fails: "
+                                             f"{ts.residuals[k]:.3e}")
     return ts
 
 
@@ -130,7 +141,8 @@ def verify_pentagon(ts: SolvableTensorSet) -> dict:
 
     Keys: 'exchange' (the rho-v swap emitting a gate), 'absorb-*' (the four
     triangle-boundary forms valid for any prebialgebra), 'exchange-primed',
-    and for bialgebra tier the stronger 'bialgebra-*' absorption identities.
+    and the stronger 'bialgebra-*' absorption identities (not required of a
+    weak model).
     """
     R, V = ts.rho_tensor, ts.v_tensor
     Rp, Vp = ts.rho_primed, ts.v_primed
@@ -213,11 +225,10 @@ def check_unitarity(ts: SolvableTensorSet, tol=TOL_ALG) -> dict:
 
 @dataclass
 class ProjectorPair:
-    """The local projectors of a weak model and the unitary gate factor."""
+    """The local projectors of a weak model."""
 
     P: np.ndarray               # on (v-site, rho-site) pairs
     Q: np.ndarray               # on (rho-site, v-site) pairs
-    unitary_part: np.ndarray
     residuals: dict = field(default_factory=dict)
 
 
@@ -292,7 +303,7 @@ def build_projectors(pair: RepPair, tol=TOL_ALG) -> ProjectorPair:
     for key in ("P-hermitian-idempotent", "Q-hermitian-idempotent"):
         if residuals[key] > tol:
             raise AxiomError(key, residuals[key])
-    return ProjectorPair(P=P, Q=Q, unitary_part=unitary_part, residuals=residuals)
+    return ProjectorPair(P=P, Q=Q, residuals=residuals)
 
 
 # -- export ---------------------------------------------------------------------

@@ -4,11 +4,47 @@ import sys
 
 import pytest
 
+from hopfbrick import mpo, zoo
+from hopfbrick.algebra import algebra_to_dict
 from hopfbrick.cli import _initial_state, _single_site_operator, main
 
 
 def run_cli(args):
     return main(args)
+
+
+def spec_doc(name):
+    """The JSON algebra spec of zoo model `name`, as `export-spec` writes it."""
+    pair = zoo.model(name)
+    return algebra_to_dict(pair.algebra, reps={"rho": pair.rho}, coreps={"v": pair.v})
+
+
+# dihedral-3 specs with one rep/corep block broken, by file name
+MALFORMED_SPECS = {
+    "rep-missing-matrix.json": lambda doc: doc["reps"]["rho"].pop(),
+    "rep-scalar-matrices.json": lambda doc: doc["reps"].update(rho=[1.0] * doc["dim"]),
+    "corep-truncated.json": lambda doc: doc["coreps"]["v"].pop(),
+}
+
+
+def write_malformed_spec(directory, name):
+    doc = spec_doc("dihedral-3")
+    MALFORMED_SPECS[name](doc)
+    (directory / name).write_text(json.dumps(doc))
+
+
+@pytest.fixture
+def argv(request, tmp_path):
+    """A CLI argument list; a `run` of `run-<spec>` gets that malformed spec
+    and a config naming it written to tmp_path."""
+    argv = request.param
+    if argv[0] == "run":
+        spec = argv[1].removeprefix("run-")
+        write_malformed_spec(tmp_path, spec)
+        (tmp_path / argv[1]).write_text(json.dumps({
+            "model": spec, "initial_state": "+",
+            "quantities": [{"name": "expectation", "O": "e1", "t": [1]}]}))
+    return argv
 
 
 def test_verify_zoo_models(capsys):
@@ -203,7 +239,8 @@ def test_oracle_command_honours_explicit_cap(capsys):
     ["export-spec", "zoo:nope", "--out", "unused.json"],
     ["oracle", "zoo:fibonacci", "--state", "9"],
     ["oracle", "zoo:fibonacci", "--O", "e9"],
-])
+    *(["run", f"run-{spec}"] for spec in MALFORMED_SPECS),
+], indirect=True)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     # an unknown model, state or operator is one error line and exit code 2
     monkeypatch.chdir(tmp_path)
@@ -238,3 +275,81 @@ def test_console_entry_point():
                            "zoo:z2-regular"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("spec", sorted(MALFORMED_SPECS))
+def test_verify_malformed_rep_exits_2_with_one_line(spec, tmp_path, capsys):
+    # a missing rep matrix, scalars for matrices or a truncated corep is one
+    # parse error line and exit code 2, never a traceback
+    write_malformed_spec(tmp_path, spec)
+    assert run_cli(["verify", str(tmp_path / spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+def write_run_config(path, model, quantities, initial_state):
+    path.write_text(json.dumps({"model": model, "initial_state": initial_state,
+                                "quantities": quantities}))
+    return str(path)
+
+
+def test_prebialgebra_spec_runs_like_the_zoo_model(tmp_path, capsys):
+    # dihedral-3 declared at prebialgebra tier is not weak: it carries no
+    # projectors, so `run` gives the zoo model's rows byte for byte
+    doc = spec_doc("dihedral-3")
+    doc["tier"] = "prebialgebra"
+    (tmp_path / "pre.json").write_text(json.dumps(doc))
+    assert run_cli(["verify", str(tmp_path / "pre.json")]) == 0
+    quantities = [{"name": "expectation", "O": "e1", "label": "e", "t": [0, 0.5, 1.5]},
+                  {"name": "st_correlator", "A": "e1", "B": "e2", "label": "st",
+                   "x": [0, 1], "t": [1, 2]}]
+    for tag, model in (("zoo", "zoo:dihedral-3"), ("pre", str(tmp_path / "pre.json"))):
+        cfg = write_run_config(tmp_path / f"{tag}.cfg.json", model, quantities, "+")
+        assert run_cli(["run", cfg, "--out", str(tmp_path / tag)]) == 0
+    capsys.readouterr()
+    for name in ("e.csv", "st.csv"):
+        assert (tmp_path / "pre" / name).read_bytes() == (tmp_path / "zoo" / name).read_bytes()
+
+
+def test_weak_bialgebra_spec_without_star_exits_2(tmp_path, capsys):
+    # Fibonacci declared at weak-bialgebra tier, without antipode and star,
+    # verifies; its projectors need a star, so `run` stops with one error line
+    doc = spec_doc("fibonacci")
+    del doc["antipode"], doc["star_matrix"]
+    doc["tier"] = "weak-bialgebra"
+    (tmp_path / "wb.json").write_text(json.dumps(doc))
+    assert run_cli(["verify", str(tmp_path / "wb.json")]) == 0
+    capsys.readouterr()
+    cfg = write_run_config(tmp_path / "cfg.json", str(tmp_path / "wb.json"),
+                           [{"name": "expectation", "O": "e1", "t": [1]}], "3")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error:") and err.count("\n") == 1
+
+
+def test_run_st_correlator_rows_equal_engine(tmp_path, capsys, fib_ts):
+    A, B = _single_site_operator("e1", 3), _single_site_operator("e3", 3)
+    cfg = write_run_config(tmp_path / "cfg.json", "zoo:fibonacci",
+                           [{"name": "st_correlator", "A": "e1", "B": "e3", "label": "st",
+                             "x": [0, 1], "t": [1, 2]}], "3")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "o" / "st.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 4
+    for row in rows:
+        _, _, x, t, _, _, re, im = row.split(",")
+        want = complex(mpo.st_correlator(fib_ts, A, B, float(x), float(t)))
+        assert complex(float(re), float(im)) == want
+
+
+def test_run_oracle_check_renyi(tmp_path, capsys):
+    cfg = write_run_config(tmp_path / "cfg.json", "zoo:dihedral-3",
+                           [{"name": "renyi", "alpha": [2, 3], "l": [1], "t": [0.5, 1],
+                             "label": "r"}], "+")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "o"), "--oracle-check", "3"]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "o" / "r.csv").read_text().strip().splitlines()
+    assert rows[0].endswith("oracle_dev")
+    devs = [r.split(",")[-1] for r in rows[1:]]
+    assert len(devs) == 4 and all(devs)
+    assert max(map(float, devs)) <= 1e-8

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,47 @@ def test_projectors_hopf_trivial():
     pp = build_projectors(zoo.model("dihedral-3"))
     assert np.abs(pp.P - np.eye(4)).max() < 1e-13
     assert np.abs(pp.Q - np.eye(4)).max() < 1e-13
+
+
+def test_projectors_built_once_per_tensor_set(monkeypatch):
+    # a weak model carries its ProjectorPair: the engine's projector MPO, the
+    # state check's rule and the dense oracle read it instead of rebuilding it
+    from hopfbrick import mpo, oracle, tensors
+    calls = []
+
+    def counted(pair, *args, **kw):
+        calls.append(pair)
+        return build_projectors(pair, *args, **kw)
+
+    monkeypatch.setattr(tensors, "build_projectors", counted)
+    ts = build_tensors(zoo.model("fibonacci"))
+    assert ts.is_weak() and ts.projectors is ts.projectors
+    for _ in range(3):
+        mpo.projector_mpo(ts)
+    circ = oracle.DenseCircuit.from_tensor_set(ts, L=2)
+    assert np.abs(circ.projector - ts.projectors.P).max() == 0
+    assert len(calls) == 1
+    hopf = build_tensors(zoo.model("dihedral-3"))
+    assert not hopf.is_weak() and hopf.projectors is None
+    assert oracle.DenseCircuit.from_tensor_set(hopf, L=2).projector is None
+    assert mpo.projector_mpo(hopf)["v"].shape == (1, 1, 2, 2)
+    assert len(calls) == 1
+
+
+def test_weak_rule_has_one_owner():
+    # the weak-model rule reads the tier chain in tensors.py only (and the
+    # axiom checks in algebra.py); every other module asks the tensor set
+    code = ("import ast, pathlib, hopfbrick\n"
+            "callers = set()\n"
+            "for path in pathlib.Path(hopfbrick.__file__).parent.glob('*.py'):\n"
+            "    for node in ast.walk(ast.parse(path.read_text())):\n"
+            "        fn = getattr(node, 'func', None)\n"
+            "        if getattr(fn, 'id', getattr(fn, 'attr', None)) == 'tier_chain':\n"
+            "            callers.add(path.name)\n"
+            "print(sorted(callers - {'algebra.py', 'tensors.py'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_projectors_need_star_tier():
