@@ -13,7 +13,8 @@ hash, library version, and tolerances, sufficient to re-run the batch.
 
 Exit codes: 0 success; 1 a check failed (verify), the initial state is
 outside the solvable subspace or a point was skipped (run, after every CSV
-and the manifest are written); 2 unreadable or invalid input: an unknown or
+and the manifest are written; a non-finite value or a numeric error skips
+its point); 2 unreadable or invalid input: an unknown or
 malformed model, state or operator (every subcommand; one error line, no
 traceback) or, for oracle, a ring over the amplitude cap.
 """
@@ -21,6 +22,7 @@ traceback) or, for oracle, a ring over the amplitude cap.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import json
@@ -34,7 +36,7 @@ from . import __version__, mpo, oracle, zoo
 from .algebra import (AlgebraSpecError, AxiomError, TOL_ALG, _complex_array,
                       algebra_to_dict, check_axioms, exponent, load_algebra)
 from .representation import RepPair, Representation, Corepresentation
-from .tensors import build_tensors, check_unitarity, verify_pentagon
+from .tensors import build_tensors, check_unitarity
 
 
 def _fmt(x: float) -> str:
@@ -156,7 +158,8 @@ def cmd_verify(args) -> int:
     report["axioms"] = {k: (v if isinstance(v, bool) else float(v)) for k, v in ax.items()}
     try:
         ts = build_tensors(pair, tol=args.tol)
-        report["tensor_identities"] = {k: float(v) for k, v in verify_pentagon(ts).items()}
+        report["tensor_identities"] = {k: float(v) for k, v in ts.residuals.items()
+                                       if k not in ("representation", "corepresentation")}
         uni = check_unitarity(ts, tol=args.tol)
         report["gate"] = {k: (v if isinstance(v, (bool, int)) else float(np.real(v)))
                           for k, v in uni.items() if not isinstance(v, np.ndarray)}
@@ -214,6 +217,8 @@ def _eval_point(pair, ts, state, q, point):
     else:
         raise ValueError(f"unknown quantity {kind!r}")
     val = complex(val)
+    if not cmath.isfinite(val):
+        raise FloatingPointError(f"non-finite value {val}")
     return {"model": pair.name, "quantity": q.get("label", kind), "x": x, "t": t,
             "alpha": alpha if alpha is not None else "", "l": l if l is not None else "",
             "re": _fmt(val.real), "im": _fmt(val.imag)}
@@ -277,7 +282,7 @@ def cmd_run(args) -> int:
         def work(pt):
             try:
                 return _eval_point(pair, ts, state, q, pt)
-            except (ValueError, MemoryError) as exc:
+            except (ValueError, ArithmeticError, MemoryError) as exc:
                 errors.append({"point": {k: v for k, v in pt.items()
                                          if not k.startswith("_")}, "error": str(exc)})
                 return None

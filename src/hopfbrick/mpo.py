@@ -38,6 +38,13 @@ positions are v-sites of the t = 0 lattice), on a rho-leg otherwise.
 Normalized-trace convention: infinite-chain traces (spatiotemporal
 correlator, OTOC) divide by the same projector-channel contraction without
 operator insertions, so C(1,1,x,t) = F(1,1,x,t) = 1 exactly.
+
+Trace channels on their live support: the vector swept through a trace
+window lives on the product of every layer's bond, but only a bounded set
+of its entries can be nonzero at any t (Fibonacci OTOC: at most 875 of
+257 049, measured up to t = 400).  The sweep carries it on that exact
+support, one sparse map per site (`_sweep_cuts`), and divides out the
+channel's growth once per cell.
 """
 
 from __future__ import annotations
@@ -993,7 +1000,12 @@ def _fold(row, where, op, inner=False):
 
 
 def _adjoint(row):
-    return [np.conj(np.swapaxes(W, 2, 3)) for W in row]
+    """Adjoint of every site tensor; repeated tensors stay shared."""
+    adj = {}
+    for W in row:
+        if id(W) not in adj:
+            adj[id(W)] = np.conj(np.swapaxes(W, 2, 3))
+    return [adj[id(W)] for W in row]
 
 
 def _heisenberg_rows(hmpo: HeisenbergMPO, window):
@@ -1005,26 +1017,32 @@ def _heisenberg_rows(hmpo: HeisenbergMPO, window):
     identities and O sits on the ket row at the operator's position.
     """
     ts = hmpo.ts
+    n = hmpo.n_columns
     pos_to_col = {round(2 * p): k for k, p in enumerate(hmpo.support())}
-    op_col = hmpo.n_columns - 1 if hmpo.leg == "v" else 0
+    op_col = n - 1 if hmpo.leg == "v" else 0
+    eye = {d: np.eye(d, dtype=complex)[None, None] for d in (ts.d_v, ts.d_rho)}
+    rows = {}           # (kind, first, last) -> (K, B): repeated columns share arrays
     kets, bras = [], []
     for p in window:
         k = pos_to_col.get(round(2 * p))
         if k is None:
-            d = ts.d_v if leg_of(p, 0) == "v" else ts.d_rho
-            kets.append(np.eye(d, dtype=complex)[None, None])
+            kets.append(eye[ts.d_v if leg_of(p, 0) == "v" else ts.d_rho])
             bras.append(kets[-1])
             continue
-        base = ts.rho_tensor if k % 2 == 0 else ts.v_tensor
-        # ket row: phys in (down leg) -> internal out (up leg), bonds (y, x)
-        K = np.transpose(base, (3, 2, 0, 1))          # [y, x, up, down]
-        B = np.conj(np.transpose(base, (3, 2, 1, 0)))  # conj row: in = up of ket
-        if k == 0:
-            K = np.einsum("l,lrxy->rxy", ts.counit_vec, K)[None]
-            B = np.einsum("l,lrxy->rxy", ts.counit_vec.conj(), B)[None]
-        if k == hmpo.n_columns - 1:
-            K = np.einsum("lrxy,r->lxy", K, ts.unit_vec)[:, None]
-            B = np.einsum("lrxy,r->lxy", B, ts.unit_vec.conj())[:, None]
+        key = (k % 2, k == 0, k == n - 1)
+        if key not in rows:
+            base = ts.rho_tensor if k % 2 == 0 else ts.v_tensor
+            # ket row: phys in (down leg) -> internal out (up leg), bonds (y, x)
+            K = np.transpose(base, (3, 2, 0, 1))          # [y, x, up, down]
+            B = np.conj(np.transpose(base, (3, 2, 1, 0)))  # conj row: in = up of ket
+            if k == 0:
+                K = np.einsum("l,lrxy->rxy", ts.counit_vec, K)[None]
+                B = np.einsum("l,lrxy->rxy", ts.counit_vec.conj(), B)[None]
+            if k == n - 1:
+                K = np.einsum("lrxy,r->lxy", K, ts.unit_vec)[:, None]
+                B = np.einsum("lrxy,r->lxy", B, ts.unit_vec.conj())[:, None]
+            rows[key] = K, B
+        K, B = rows[key]
         kets.append(hmpo.op @ K if k == op_col else K)
         bras.append(B)
     if not pos_to_col:
@@ -1032,42 +1050,88 @@ def _heisenberg_rows(hmpo: HeisenbergMPO, window):
     return bras, kets
 
 
-def _sweep_channel(layers, lefts):
-    """Left boundary vectors `lefts` (batch, bond), on the first layer's
-    bond, swept through the window: (batch, the first layer's last bond).
+def _join(keys, table):
+    """Every pair (q, e) with keys[q] == table[e], in order of q."""
+    order = np.argsort(table, kind="stable")
+    lo = np.searchsorted(table[order], keys, "left")
+    count = np.searchsorted(table[order], keys, "right") - lo
+    q = np.repeat(np.arange(len(keys)), count)
+    e = order[np.arange(len(q)) + np.repeat(lo - np.cumsum(count) + count, count)]
+    return q, e
 
-    Every site is contracted along a fixed sequential path, one layer after
-    the next.  The physical trace is cyclic, so the first layer goes first
-    where it narrows the bond and last where it widens it; the other layers
-    then act on the narrower vector.  A step's two legs, the previous layer's
-    in leg and this layer's bond, are kept adjacent ([done, (out, bond),
-    rest]), so each step is one batched GEMM on the intermediate as it lies;
-    only the vector between sites is reordered.
+
+def _site_map(site, live):
+    """One window site as a sparse map on the live rows `live`, an
+    (n_in, n_layers) array of bond indices: (src, val, starts, out, cols).
+
+    A path picks one nonzero entry [b, c, out, in] of every layer, with b
+    the row's bond, each in leg the next layer's out leg and the last in leg
+    the first out leg (the trace).  Its value adds to the map entry from row
+    src to the output bonds (c_0, c_1, ...); entries are sorted by output,
+    `starts` opens each output's run, `out` holds the output rows and
+    `cols` their flat index into the output bond shape.
     """
-    n, batch = len(layers), len(lefts)
-    vec = lefts.reshape(lefts.shape + (1,) * (n - 1))       # [batch, bond per layer]
-    for site in zip(*layers):
-        first = 0 if site[0].shape[1] < site[0].shape[0] else 1
-        order = [(first + j) % n for j in range(n)]
-        # first layer: [batch, bond, rest] -> [batch, (out, c, in), rest]
-        b, c, po, pi = site[order[0]].shape
-        x = vec.transpose([0] + [1 + k for k in order]).reshape(batch, b, -1)
-        x = site[order[0]].transpose(2, 1, 3, 0).reshape(-1, b) @ x
-        done = batch * po * c
-        for k in order[1:-1]:
-            # [done, (out, bond), rest] -> [done, (c, in), rest]
-            b, c, po, pi = site[k].shape
-            x = site[k].transpose(1, 3, 2, 0).reshape(c * pi, po * b) @ \
-                x.reshape(done, po * b, -1)
-            done *= c
-        # the last layer's in leg is the first layer's out leg: the trace
-        b, c, po, pi = site[order[-1]].shape
-        x = x.reshape(batch, pi, -1, po * b)
-        T = site[order[-1]].transpose(3, 2, 0, 1).reshape(pi, po * b, c)
-        x = sum(x[:, p] @ T[p] for p in range(pi))
-        vec = x.reshape(batch, *(site[k].shape[1] for k in order)).transpose(
-            [0] + [1 + order.index(k) for k in range(n)])
-    return vec.reshape(batch, -1)
+    for k, W in enumerate(site):
+        b, c, o, i = np.nonzero(W)
+        if k == 0:
+            r, e = _join(live[:, 0], b)
+            first, col, val = o[e], c[e], W[b[e], c[e], o[e], i[e]]
+        else:
+            q, e = _join(live[r, k] * W.shape[2] + last, b * W.shape[2] + o)
+            r, first = r[q], first[q]
+            col = col[q] * W.shape[1] + c[e]
+            val = val[q] * W[b[e], c[e], o[e], i[e]]
+        last = i[e]
+    closed = last == first
+    n_in = len(live)
+    keys, inv = np.unique(col[closed] * n_in + r[closed], return_inverse=True)
+    val = val[closed]
+    val = (np.bincount(inv, val.real, len(keys))
+           + 1j * np.bincount(inv, val.imag, len(keys)))
+    dst, src = np.divmod(keys, n_in)
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    cols = dst[starts]
+    out = np.stack(np.unravel_index(cols, tuple(W.shape[1] for W in site)), axis=1)
+    return src, val, starts, out, cols
+
+
+def _sweep_cuts(layers, lefts, lam):
+    """Left boundary vectors `lefts` (batch, bond), on the first layer's
+    bond, swept through the window: yields (cols, vec) after each site, the
+    live flat indices into that cut's bonds and the vector on them.
+
+    The live set is the exact nonzero pattern: the boundary's nonzero
+    entries, then every output a nonzero path reaches.  It contains the
+    vector's numerical support, so the restriction drops nothing but exact
+    zeros.  One map is built per distinct (site tensors, live rows): repeated
+    interior columns share their arrays and, once the live set repeats,
+    their maps.  The window is whole cells (v-site, rho-site), and the
+    vector is divided by `lam` once per cell.
+    """
+    cols = np.flatnonzero(np.any(lefts != 0, axis=0))
+    live = np.zeros((len(cols), len(layers)), dtype=np.intp)
+    live[:, 0] = cols
+    vec = lefts[:, cols]
+    maps = {}
+    for s, site in enumerate(zip(*layers)):
+        key = (tuple(map(id, site)), live.tobytes())
+        if key not in maps:
+            maps[key] = _site_map(site, live)
+        src, val, starts, live, cols = maps[key]
+        vec = np.add.reduceat(vec[:, src] * val, starts, axis=1)
+        if s % 2:
+            vec = vec / lam
+        yield cols, vec
+
+
+def _sweep_channel(layers, lefts, lam):
+    """`_sweep_cuts` to the window's end: the swept vectors on the full
+    product of the last site's bonds, (batch, bonds)."""
+    for cols, vec in _sweep_cuts(layers, lefts, lam):
+        pass
+    out = np.zeros((len(lefts), math.prod(row[-1].shape[1] for row in layers)), dtype=complex)
+    out[:, cols] = vec
+    return out
 
 
 def _pure_cell_channel(mats):
@@ -1108,8 +1172,12 @@ def _st_value(ts, window, layers, ring_cells=None) -> complex:
     """Normalized projector trace: infinite chain (environments) by default,
     or closed periodically over `ring_cells` unit cells for exact comparison
     with a finite-ring dense trace.  Layer 0 is the unfolded projector row;
-    its first cell gives the per-cell channel E (`ts` is not read)."""
+    its first cell gives the per-cell channel E (`ts` is not read).  E's
+    spectral radius lam is divided out once per cell, from E and from the
+    swept vector alike, so both stay finite at any t."""
     E = _pure_cell_channel({"v": layers[0][0], "rho": layers[0][1]})
+    lam = np.abs(np.linalg.eigvals(E)).max()
+    E = E / lam
     if ring_cells is not None:
         extra = ring_cells - len(window) // 2
         if extra < 0:
@@ -1121,7 +1189,7 @@ def _st_value(ts, window, layers, ring_cells=None) -> complex:
     else:
         _lam, pairs = _leading_environment(E)
         lefts, rights = (np.array(v) for v in zip(*pairs))
-    num = np.sum(_sweep_channel(layers, lefts) * rights)
+    num = np.sum(_sweep_channel(layers, lefts, lam) * rights)
     den = np.sum(lefts @ np.linalg.matrix_power(E, len(window) // 2) * rights)
     return complex(num / den)
 

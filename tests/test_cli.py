@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hopfbrick import mpo, zoo
+from hopfbrick import mpo, tensors, zoo
 from hopfbrick.algebra import algebra_to_dict
 from hopfbrick.cli import _initial_state, _single_site_operator, main
 
@@ -353,3 +353,62 @@ def test_run_oracle_check_renyi(tmp_path, capsys):
     devs = [r.split(",")[-1] for r in rows[1:]]
     assert len(devs) == 4 and all(devs)
     assert max(map(float, devs)) <= 1e-8
+
+
+def test_run_non_finite_value_is_a_skipped_point(tmp_path, capsys, monkeypatch):
+    # a nan or inf value is a failed point: an `errors` entry and exit 1, never a row
+    engine = mpo.st_correlator
+
+    def nan_at_t2(ts, A, B, x, t, ring_cells=None):
+        return complex("nan") if t == 2 else engine(ts, A, B, x, t, ring_cells)
+
+    monkeypatch.setattr(mpo, "st_correlator", nan_at_t2)
+    cfg = write_run_config(tmp_path / "cfg.json", "zoo:fibonacci",
+                           [{"name": "st_correlator", "A": "e1", "B": "e3", "label": "st",
+                             "x": [0], "t": [1, 2]}], "3")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "skipped" in capsys.readouterr().err
+    text = (tmp_path / "o" / "st.csv").read_text()
+    assert "nan" not in text and len(text.strip().splitlines()) == 2
+    errors = json.loads((tmp_path / "o" / "manifest.json").read_text())["errors"]
+    assert [e["point"] for e in errors] == [{"x": 0.0, "t": 2.0}]
+    assert "non-finite" in errors[0]["error"]
+
+
+def test_run_floating_point_error_skips_the_point(tmp_path, capsys, monkeypatch):
+    # a FloatingPointError at one point leaves every CSV and the manifest written
+    engine = mpo.expectation
+
+    def fails_at_t1(ts, O, t, state, x=0.0):
+        if t == 1:
+            raise FloatingPointError("forced")
+        return engine(ts, O, t, state, x=x)
+
+    monkeypatch.setattr(mpo, "expectation", fails_at_t1)
+    cfg = write_run_config(tmp_path / "cfg.json", "zoo:fibonacci",
+                           [{"name": "expectation", "O": "e1", "label": "e", "t": [0.5, 1]},
+                            {"name": "st_correlator", "A": "e1", "B": "e3", "label": "st",
+                             "x": [0], "t": [1]}], "3")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["files"] == ["e.csv", "st.csv"]
+    for name, rows in (("e.csv", 1), ("st.csv", 1)):
+        assert len((tmp_path / "o" / name).read_text().strip().splitlines()) == 1 + rows
+    assert manifest["errors"] == [{"point": {"x": 0.0, "t": 1.0}, "error": "forced"}]
+
+
+def test_verify_computes_tensor_identities_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    identities = tensors.verify_pentagon
+
+    def counted(ts):
+        calls.append(ts)
+        return identities(ts)
+
+    monkeypatch.setattr(tensors, "verify_pentagon", counted)
+    assert run_cli(["verify", "zoo:fibonacci", "--json", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert list(report["tensor_identities"]) == list(identities(calls[0]))
