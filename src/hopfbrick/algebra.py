@@ -15,6 +15,7 @@ per slice, since the shipped models are all very sparse but some have dim > 100.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -660,16 +661,18 @@ def exponent(A: AlgebraData, cap: int = 64, tol=TOL_ALG):
 
 # -- JSON (de)serialization -------------------------------------------------------
 
+# a structure-constant entry: three basis indices, then the real and imaginary parts
+_COO_ROW = {"type": "array", "minItems": 5, "maxItems": 5,
+            "prefixItems": [{"type": "integer", "minimum": 0}] * 3}
+
 _ALGEBRA_SCHEMA = {
     "type": "object",
     "required": ["dim", "basis", "mult", "comult", "unit", "counit", "tier"],
     "properties": {
         "dim": {"type": "integer", "minimum": 1},
         "basis": {"type": "array", "items": {"type": "string"}},
-        "mult": {"type": "array",
-                 "items": {"type": "array", "minItems": 5, "maxItems": 5}},
-        "comult": {"type": "array",
-                   "items": {"type": "array", "minItems": 5, "maxItems": 5}},
+        "mult": {"type": "array", "items": _COO_ROW},
+        "comult": {"type": "array", "items": _COO_ROW},
         "unit": {"type": "array"},
         "counit": {"type": "array"},
         "antipode": {"type": "array"},
@@ -683,19 +686,25 @@ _ALGEBRA_SCHEMA = {
 
 
 def _num(v):
-    """Accept numbers or high-precision decimal strings."""
-    if isinstance(v, str):
-        return float(v)
-    if isinstance(v, (int, float)):
-        return float(v)
-    raise AlgebraSpecError(f"expected number or decimal string, got {type(v).__name__}")
+    """A finite number, given as a number or a high-precision decimal string."""
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise AlgebraSpecError(f"expected number or decimal string, got {type(v).__name__}")
+    try:
+        x = float(v)
+    except (ValueError, OverflowError):
+        raise AlgebraSpecError(f"expected number or decimal string, got {v!r}") from None
+    if not math.isfinite(x):
+        raise AlgebraSpecError(f"expected a finite number, got {v!r}")
+    return x
 
 
 def _complex_array(raw, n, what):
-    arr = np.zeros(n, dtype=complex)
+    """`raw`, a list of n numbers or [re, im] pairs, as a complex array;
+    its type and length are checked before anything is allocated."""
     if not isinstance(raw, list) or len(raw) != n:
         got = len(raw) if isinstance(raw, list) else type(raw).__name__
         raise AlgebraSpecError(f"{what}: expected a list of {n} entries, got {got}")
+    arr = np.zeros(n, dtype=complex)
     for i, item in enumerate(raw):
         if isinstance(item, (list, tuple)) and len(item) == 2:
             arr[i] = _num(item[0]) + 1j * _num(item[1])
@@ -794,7 +803,7 @@ def load_algebra(source, tol=TOL_ALG) -> AlgebraData:
     report = check_axioms(A, A.tier, tol)
     if not report["pass"]:
         worst = max(((k, v) for k, v in report.items() if k != "pass"), key=lambda kv: kv[1])
-        first = next((k, v) for k, v in report.items() if k != "pass" and v > tol)
+        first = next((k, v) for k, v in report.items() if k != "pass" and not v <= tol)
         raise AxiomError(first[0], first[1],
                          f"declared tier '{A.tier}' not met: axiom '{first[0]}' residual "
                          f"{first[1]:.3e} (worst: '{worst[0]}' {worst[1]:.3e})")

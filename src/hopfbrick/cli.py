@@ -16,7 +16,8 @@ outside the solvable subspace or a point was skipped (run, after every CSV
 and the manifest are written; a non-finite value or a numeric error skips
 its point); 2 unreadable or invalid input: an unknown or
 malformed model, state or operator (every subcommand; one error line, no
-traceback) or, for oracle, a ring over the amplitude cap.
+traceback), a malformed quantity entry or empty grid (run, before any CSV
+is written) or, for oracle, a ring over the amplitude cap.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import cmath
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -127,11 +129,22 @@ def _dense_initial_state(circ, spec, d):
 
 
 def _grid(spec):
-    if isinstance(spec, list):
-        return [float(v) for v in spec]
+    """Grid values: a list, one number, or {start, stop, step} with stop
+    included.  ValueError on anything else, a non-finite value or a step that
+    is not positive."""
     if isinstance(spec, dict):
-        return list(np.arange(spec["start"], spec["stop"] + 1e-9, spec.get("step", 1.0)))
-    return [float(spec)]
+        bounds = [spec.get("start"), spec.get("stop"), spec.get("step", 1.0)]
+        if not all(_is_number(v) for v in bounds) or not bounds[2] > 0:
+            raise ValueError(f"grid {spec!r} needs numbers start, stop and a positive step")
+        return list(np.arange(bounds[0], bounds[1] + 1e-9, bounds[2]))
+    values = spec if isinstance(spec, list) else [spec]
+    if not all(_is_number(v) for v in values):
+        raise ValueError(f"grid {spec!r} holds a value that is not a finite number")
+    return [float(v) for v in values]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _rand_unitary(d, rng):
@@ -185,6 +198,42 @@ def cmd_verify(args) -> int:
 
 # -- run --------------------------------------------------------------------------
 
+# the keys each quantity needs besides its grids
+_QUANTITY_KEYS = {"expectation": ("O",), "two_point": ("O", "O2"), "renyi": ("l", "alpha"),
+                  "renyi_half_chain": ("alpha",), "st_correlator": ("A", "B"), "otoc": ()}
+
+
+def _quantity_points(q):
+    """Every (x, t, alpha, l) point of the quantity entry `q`, in grid order.
+
+    ValueError on a malformed entry: an unknown or missing name, a missing
+    key, a malformed grid, an alpha or l that is not an integer, or no point
+    at all.  Operators and off-grid points are checked per point."""
+    if not isinstance(q, dict) or q.get("name") not in _QUANTITY_KEYS:
+        name = q.get("name") if isinstance(q, dict) else q
+        raise ValueError(f"quantity {name!r} is not one of {', '.join(_QUANTITY_KEYS)}")
+    missing = [k for k in _QUANTITY_KEYS[q["name"]] if k not in q]
+    if missing:
+        raise ValueError(f"quantity {q['name']!r} lacks {', '.join(missing)}")
+    grids = [_grid(q.get("t", [0.0])), _grid(q.get("x", [0.0]))]
+    for key in ("alpha", "l"):
+        values = q.get(key, [None])
+        values = values if isinstance(values, list) else [values]
+        if key in q and not all(_is_number(v) and int(v) == v for v in values):
+            raise ValueError(f"quantity {q['name']!r}: {key} {q[key]!r} is not an integer grid")
+        grids.append(values)
+    points = []
+    for t, x, alpha, l in itertools.product(*grids):
+        pt = {"x": x, "t": t}
+        if alpha is not None:
+            pt["alpha"] = alpha
+        if l is not None:
+            pt["l"] = l
+        points.append(pt)
+    if not points:
+        raise ValueError(f"quantity {q.get('label', q['name'])!r} has an empty grid")
+    return points
+
 
 def _eval_point(pair, ts, state, q, point):
     kind = q["name"]
@@ -212,10 +261,8 @@ def _eval_point(pair, ts, state, q, point):
         A_op = _single_site_operator(q["A"], d)
         B_op = _single_site_operator(q["B"], d)
         val = mpo.st_correlator(ts, A_op, B_op, x, t)
-    elif kind == "otoc":
+    else:       # otoc: `_quantity_points` admits no other name
         val = mpo.otoc(ts, point["_V"], point["_W"], x, t, warn_nonunitary=False)
-    else:
-        raise ValueError(f"unknown quantity {kind!r}")
     val = complex(val)
     if not cmath.isfinite(val):
         raise FloatingPointError(f"non-finite value {val}")
@@ -231,6 +278,9 @@ def cmd_run(args) -> int:
                    if not isinstance(config, dict) or k not in config]
         if missing:
             raise ValueError(f"config lacks {', '.join(missing)}")
+        if not isinstance(config["quantities"], list):
+            raise ValueError("config quantities must be a list")
+        plans = [(q, _quantity_points(q)) for q in config["quantities"]]
         pair = _load_model(config["model"], tol=args.tol)
         ts = build_tensors(pair)
         state = _initial_state(config["initial_state"], ts.d_v)
@@ -255,28 +305,10 @@ def cmd_run(args) -> int:
         "tolerances": {"tol": args.tol},
         "files": [],
     }
-    for q in config["quantities"]:
-        points = []
-        ts_grid = _grid(q.get("t", [0.0]))
-        xs = _grid(q.get("x", [0.0]))
-        alphas = q.get("alpha", [None])
-        ls = q.get("l", [None])
-        extras = {}
+    for q, points in plans:
         if q["name"] == "otoc":
-            d = ts.d_v
-            extras["_V"] = _rand_unitary(d, rng)
-            extras["_W"] = _rand_unitary(d, rng)
-        for t in ts_grid:
-            for x in xs:
-                for alpha in (alphas if isinstance(alphas, list) else [alphas]):
-                    for l in (ls if isinstance(ls, list) else [ls]):
-                        pt = {"x": x, "t": t}
-                        if alpha is not None:
-                            pt["alpha"] = alpha
-                        if l is not None:
-                            pt["l"] = l
-                        pt.update(extras)
-                        points.append(pt)
+            extras = {"_V": _rand_unitary(ts.d_v, rng), "_W": _rand_unitary(ts.d_v, rng)}
+            points = [{**pt, **extras} for pt in points]
         errors = []
 
         def work(pt):

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import canonical_power, exponent
-from .tensors import SolvableTensorSet, build_projectors, is_weak_algebra
+from .tensors import SolvableTensorSet
 
 TOL_NUM = 1e-9
 MEMORY_CAP = 2 ** 26        # complex entries one engine intermediate may hold
@@ -153,27 +153,15 @@ class MPSState:
         has no unique fixed point).
         """
         if self._env is None:
-            E = self.site_transfer("rho") @ self.site_transfer("v")
-            if not np.isfinite(E).all():
-                raise ValueError("MPS cell transfer matrix is not finite")
-            vals, vecs = np.linalg.eig(E)
-            order = np.argsort(-np.abs(vals))
-            k = int(order[0])
-            lam = vals[k]
-            if abs(lam) <= TOL_NUM * np.linalg.norm(E):
-                raise ValueError("MPS cell transfer matrix has leading eigenvalue zero")
-            if len(vals) > 1 and abs(vals[order[1]]) >= abs(lam) * (1 - TOL_NUM):
+            lam, L, R = _leading_environment(self.site_transfer("rho") @ self.site_transfer("v"))
+            if len(L) > 1:
                 raise ValueError("MPS cell transfer matrix has a degenerate leading "
                                  "eigenvalue (non-injective state)")
             if abs(lam - 1.0) > 1e-12:
                 scale = abs(lam) ** (-0.25)
                 self.rho_site = self.rho_site * scale
                 self.v_site = self.v_site * scale
-            right = vecs[:, k]
-            wl, vl = np.linalg.eig(E.T)
-            left = vl[:, int(np.argmax(np.abs(wl)))]
-            left = left / (left @ right)
-            self._env = (left, right)
+            self._env = (L[0], R[:, 0])
         return self._env
 
     def transfer_stack(self, ts) -> "TransferStack":
@@ -201,11 +189,11 @@ class MPSState:
         return rdm / np.trace(rdm)
 
     def check_projector_invariance(self, pair) -> float:
-        """Residual of the solvable-subspace membership, checked on a window;
-        0 for a model that carries no projectors."""
-        if not is_weak_algebra(pair.algebra):
+        """Residual of the solvable-subspace membership, checked on a window
+        with the model's `pair.projectors`; 0 for a model that carries none."""
+        pp = pair.projectors
+        if pp is None:
             return 0.0
-        pp = build_projectors(pair)
         rdm_vr = self.pair_rdm(self.v_site, self.rho_site)
         rdm_rv = self.pair_rdm(self.rho_site, self.v_site)
         res = abs(1.0 - np.trace(pp.P @ rdm_vr).real) + \
@@ -222,9 +210,9 @@ class TransferStack:
     Virtual layout per cut: (ket A-bond, bra A-bond, ket psi-bond, bra
     psi-bond), flattened.  K_L carries (counit, conj counit, Lambda_L) and
     pairs with output slots; K_R carries (unit, conj unit, Lambda_R).  The
-    traced columns T(kind) are built once; T(kind, op) inserts `op` between
-    the column's ket and bra.  Engine quantities take the stack from
-    `MPSState.transfer_stack`, so it is built once per state.
+    traced columns T(kind) are built once; `apply` inserts an operator
+    between a column's ket and bra halves.  Engine quantities take the stack
+    from `MPSState.transfer_stack`, so it is built once per state.
     """
 
     def __init__(self, ts: SolvableTensorSet, state: MPSState):
@@ -254,16 +242,12 @@ class TransferStack:
         out = np.tensordot(ket, bra, axes=([0], [0]))       # [ymxn, YMXN]
         return out.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(self.dim, self.dim)
 
-    def T(self, kind, op=None):
-        """Column `kind` as a dense matrix; the reference for `apply`."""
-        if op is None:
-            return self._traced[kind]
-        K = self._kets[kind]
-        # sum_{a, B} op[B, a] K[a] (x) conj(K[B])
-        return self._pair(K, np.tensordot(np.asarray(op, dtype=complex).T, K.conj(), axes=1))
+    def T(self, kind):
+        """The traced column `kind` as a dense matrix."""
+        return self._traced[kind]
 
     def apply(self, kind, op, vec):
-        """T(kind, op) @ vec without building T(kind, op) when op is given.
+        """The column `kind`, with `op` between its ket and bra, on `vec`.
 
         The bra half (op folded in) contracts the vector's bra legs, then the
         ket half its ket legs: two contractions of O(d_p (d_A D_psi)^3).
@@ -299,17 +283,8 @@ class TransferStack:
             self._factors[kind] = (u[:, :r] * s[:r], vh[:r].T)
         return self._factors[kind]
 
-    def T_rho(self, op=None):
-        return self.T("rho", op)
-
-    def T_v(self, op=None):
-        return self.T("v", op)
-
     def cell(self):
-        return self.T_rho() @ self.T_v()
-
-    def normalization(self, t) -> complex:
-        return _columns(self.K_L, self.apply, _half_steps(t), {}, self.K_R)
+        return self._traced["rho"] @ self._traced["v"]
 
 
 # -- operator-shape MPOs ----------------------------------------------------------------
@@ -393,17 +368,6 @@ class HeisenbergMPO:
         """Column positions on the half-integer site grid."""
         start = self.position - self.t + (0.5 if self.leg == "v" else 0.0)
         return [start + 0.5 * k for k in range(self.n_columns)]
-
-    def to_dense(self):
-        """Dense operator on the covered sites: axes (out_1.., in_1..), column order."""
-        n = self.n_columns
-        if n == 0:
-            raise ValueError("O(t) covers no columns at t = 0")
-        one = np.ones(1)
-        bra, ket = (_chain(one, row, one) for row in _heisenberg_rows(self, self.support()))
-        dense = (bra.reshape(math.prod(bra.shape[:n]), -1)
-                 @ ket.reshape(math.prod(ket.shape[:n]), -1))
-        return dense.reshape(bra.shape[:n] + ket.shape[n:])
 
 
 def heisenberg_mpo(ts, O, t, position=0.0) -> HeisenbergMPO:
@@ -960,25 +924,25 @@ def _cut_bond(left, right):
 
 
 def _leading_environment(M):
-    """(lambda, [(l_k, r_k)]) of a channel matrix; pairs are biorthonormal.
+    """(lam, L, R) of a transfer or channel matrix M: lam its leading
+    eigenvalue, R (n, k) the right and L (k, n) the left eigenvectors of every
+    eigenvalue on the leading circle |lam|, biorthonormal (L R = 1), so that
+    R L is the spectral projector onto that eigenspace.
 
-    A degenerate leading modulus returns every eigenpair on that circle (the
-    projector onto the full unit-modulus eigenspace).
+    Raises ValueError, before any division, when M is not finite or its
+    leading eigenvalue is zero.
     """
-    n = M.shape[0]
-    vals, vr = np.linalg.eig(M)
-    wl, vl = np.linalg.eig(M.T)
-    order = np.argsort(-np.abs(vals))
-    lam = vals[order[0]]
-    keep = [k for k in range(n) if np.abs(vals[k]) >= np.abs(lam) * (1 - TOL_NUM)]
-    pairs = []
-    for k in keep:
-        r = vr[:, k]
-        cand = [j for j in range(n) if abs(wl[j] - vals[k]) <= 1e-8 * max(1, abs(vals[k]))]
-        l = vl[:, cand[0]]
-        l = l / (l @ r)
-        pairs.append((l, r))
-    return lam, pairs
+    if not np.isfinite(M).all():
+        raise ValueError("transfer matrix is not finite")
+    vals, R = np.linalg.eig(M)
+    wl, L = np.linalg.eig(M.T)
+    lam = vals[np.argmax(np.abs(vals))]
+    if abs(lam) <= TOL_NUM * np.linalg.norm(M):
+        raise ValueError("transfer matrix has leading eigenvalue zero")
+    lead = np.abs(vals) >= abs(lam) * (1 - TOL_NUM)
+    R = R[:, lead]
+    L = L[:, np.argsort(-np.abs(wl))[:len(R.T)]].T
+    return lam, np.linalg.solve(L @ R, L), R
 
 
 # A trace channel is a list of layers, outermost first; a layer is one MPO
@@ -1176,7 +1140,8 @@ def _st_value(ts, window, layers, ring_cells=None) -> complex:
     spectral radius lam is divided out once per cell, from E and from the
     swept vector alike, so both stay finite at any t."""
     E = _pure_cell_channel({"v": layers[0][0], "rho": layers[0][1]})
-    lam = np.abs(np.linalg.eigvals(E)).max()
+    lam, lefts, rights = _leading_environment(E)
+    lam = abs(lam)
     E = E / lam
     if ring_cells is not None:
         extra = ring_cells - len(window) // 2
@@ -1187,8 +1152,7 @@ def _st_value(ts, window, layers, ring_cells=None) -> complex:
         r = int(np.count_nonzero(s > RANK_CUT * s[0]))
         lefts, rights = vh[:r], (u[:, :r] * s[:r]).T
     else:
-        _lam, pairs = _leading_environment(E)
-        lefts, rights = (np.array(v) for v in zip(*pairs))
+        rights = rights.T
     num = np.sum(_sweep_channel(layers, lefts, lam) * rights)
     den = np.sum(lefts @ np.linalg.matrix_power(E, len(window) // 2) * rights)
     return complex(num / den)

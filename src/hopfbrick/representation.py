@@ -10,6 +10,7 @@ restriction of a gate to an invariant subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,14 @@ class RepPair:
     def __post_init__(self):
         if not self.name:
             self.name = self.algebra.name
+
+    @cached_property
+    def projectors(self):
+        """The model's ProjectorPair, built on first use; None unless the
+        model is weak.  The pair is its only input, so it owns the result."""
+        from .tensors import build_projectors, is_weak_algebra
+
+        return build_projectors(self) if is_weak_algebra(self.algebra) else None
 
 
 def check_representation(rho: Representation, tol=TOL_ALG) -> dict:

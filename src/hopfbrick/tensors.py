@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -86,10 +85,10 @@ class SolvableTensorSet:
     def is_weak(self):
         return is_weak_algebra(self.algebra)
 
-    @cached_property
+    @property
     def projectors(self) -> ProjectorPair | None:
-        """The model's ProjectorPair, built on first use; None unless weak."""
-        return build_projectors(self.pair) if self.is_weak() else None
+        """The model's ProjectorPair, cached on its RepPair; None unless weak."""
+        return self.pair.projectors
 
 
 def build_tensors(pair: RepPair, tol=TOL_ALG) -> SolvableTensorSet:

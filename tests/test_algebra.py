@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfbrick import (AlgebraSpecError, AxiomError, ExponentCapError,
                        algebra, canonical_power, check_axioms, comultiply,
@@ -280,3 +281,67 @@ def test_load_names_associativity_with_residual():
         load_algebra(doc)
     assert err.value.axiom == "associativity"
     assert abs(err.value.residual - 1.0) < 1e-12
+
+
+# -- malformed specs ----------------------------------------------------------------
+
+FUZZ_MODELS = ("z2-regular", "z3-regular", "dihedral-3")
+FUZZ_SPECS = {name: algebra_to_dict(zoo.model(name).algebra) for name in FUZZ_MODELS}
+DELETE = object()
+
+
+def spec_fields(doc, path=()):
+    """Every field of a spec document, as a path of keys and list indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from spec_fields(value, path + (key,))
+
+
+def mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+FIELD_VALUES = st.one_of(
+    st.just(DELETE), st.none(), st.booleans(),
+    st.integers(-3, 40), st.sampled_from([10 ** 6, 10 ** 20, 10 ** 400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["0", "1", "0.5", "nan", "-inf", "1e400", "abc", "", "hopf",
+                     "weak-hopf", "bialgebra"]),
+    st.lists(st.one_of(st.integers(-1, 3), st.text(max_size=2)), max_size=6),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_spec_raises_only_spec_or_axiom_errors(data):
+    # one field of a zoo spec replaced by anything, or deleted: the spec
+    # loads, or fails with AlgebraSpecError or AxiomError and nothing else
+    name = data.draw(st.sampled_from(FUZZ_MODELS))
+    doc = FUZZ_SPECS[name]
+    path = data.draw(st.sampled_from(list(spec_fields(doc))))
+    bad = mutated(doc, path, data.draw(FIELD_VALUES))
+    try:
+        load_algebra(bad)
+    except (AlgebraSpecError, AxiomError):
+        pass
+
+
+@pytest.mark.parametrize("path,value", [
+    (("mult", 0, 0), None), (("mult", 0, 1), 0.5), (("mult", 0, 2), "0"),
+    (("comult", 1, 0), True), (("mult", 0, 3), "nan"), (("mult", 0, 4), "1e400"),
+    (("dim",), 10 ** 6),
+], ids=["null", "half", "string", "bool", "nan", "overflow", "huge-dim"])
+def test_malformed_spec_field_is_a_spec_error(path, value):
+    with pytest.raises(AlgebraSpecError):
+        load_algebra(mutated(FUZZ_SPECS["z2-regular"], path, value))

@@ -412,3 +412,58 @@ def test_verify_computes_tensor_identities_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     report = json.loads((tmp_path / "r.json").read_text())
     assert list(report["tensor_identities"]) == list(identities(calls[0]))
+
+
+@pytest.mark.parametrize("path,value", [
+    (("mult", 0, 0), None), (("mult", 0, 3), "nan"), (("mult", 0, 4), "1e400"),
+    (("dim",), 10 ** 6),
+], ids=["null-index", "nan-value", "overflow-value", "huge-dim"])
+def test_verify_malformed_field_exits_2_with_one_line(path, value, tmp_path, capsys):
+    doc = spec_doc("z2-regular")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    assert run_cli(["verify", str(tmp_path / "bad.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("quantity", [
+    {"name": "expectation", "O": "e1", "t": {"start": 0, "stop": 1, "step": 0}},
+    {"O": "e1", "t": [1]},
+    {"name": "expectation", "O": "e1", "t": "abc"},
+    {"name": "renyi", "alpha": [2], "t": [1]},
+    {"name": "expectation", "O": "e1", "t": {"start": 0, "stop": 1, "step": -0.5}},
+], ids=["zero-step", "no-name", "text-grid", "renyi-without-l", "negative-step"])
+def test_run_malformed_quantity_exits_2_before_any_csv(quantity, tmp_path, capsys):
+    # a malformed entry anywhere in the list stops the run up front: one
+    # error line, exit code 2, and no CSV, not even for the good entries
+    good = {"name": "expectation", "O": "e3", "label": "good", "t": [0.5]}
+    cfg = write_run_config(tmp_path / "cfg.json", "zoo:fibonacci", [good, quantity], "3")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_weak_run_builds_one_projector_pair(tmp_path, capsys, monkeypatch):
+    # the pair owns its ProjectorPair: the initial-state check and the trace
+    # channel of a weak run read the same one
+    calls = []
+    build = tensors.build_projectors
+
+    def counted(pair, *args, **kw):
+        calls.append(pair)
+        return build(pair, *args, **kw)
+
+    monkeypatch.setattr(tensors, "build_projectors", counted)
+    cfg = write_run_config(tmp_path / "cfg.json", "zoo:fibonacci",
+                           [{"name": "st_correlator", "A": "e1", "B": "e3", "label": "st",
+                             "x": [0, 1], "t": [1, 2]}], "3")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    ts = tensors.build_tensors(zoo.model("fibonacci"))
+    assert ts.projectors is ts.pair.projectors is not None

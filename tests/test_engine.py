@@ -10,6 +10,7 @@ from hopfbrick import build_tensors, zoo
 from hopfbrick import mpo
 from hopfbrick import oracle as orc
 from conftest import random_unitary
+from dense_reference import column, heisenberg_dense, normalization
 
 ZETA = zoo.ZETA
 S5 = np.sqrt(5.0)
@@ -45,10 +46,10 @@ def test_normalization_invariant(fib_ts, d3_ts, fib_state, d3_state):
     for ts, state, t0 in ((fib_ts, fib_state, 0.5), (d3_ts, d3_state, 0.0)):
         st = mpo.TransferStack(ts, state)
         for t in np.arange(t0, 20.5, 0.5):
-            assert abs(st.normalization(t) - 1) < 1e-9, t
+            assert abs(normalization(st, t) - 1) < 1e-9, t
     # weak case at t = 0: the boundary overlap is |eps(1)|^2
     stF = mpo.TransferStack(fib_ts, fib_state)
-    assert abs(stF.normalization(0) - 4) < 1e-12
+    assert abs(normalization(stF, 0) - 4) < 1e-12
 
 
 def test_spectral_radius_one(fib_ts, d3_ts, fib_state, d3_state):
@@ -113,7 +114,7 @@ def test_expectation_mps_initial_state(d3_ts):
 
     def dense_window_value(t):
         hm = mpo.heisenberg_mpo(d3_ts, O, t, position=0.5)   # v-leg at x = 1/2
-        op = hm.to_dense()
+        op = heisenberg_dense(hm)
         cols = hm.n_columns
         # window = the MPO support, whole cells, MPO starts on a rho site
         tensors = [state.rho_site if k % 2 == 0 else state.v_site
@@ -444,7 +445,7 @@ def test_operator_column_apply_matches_dense(quench_case):
         op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         vec = rng.normal(size=st.dim) + 1j * rng.normal(size=st.dim)
         for o in (op, None):
-            ref = st.T(kind, o) @ vec
+            ref = column(st, kind, o) @ vec
             assert np.linalg.norm(st.apply(kind, o, vec) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 def test_saturation_onset_l20(fib_ts, fib_state):
@@ -602,7 +603,7 @@ def test_stationary_value_via_transfer_projector(fib_ts, fib_state):
     # spectral projector onto the (degenerate) eigenvalue-1 block
     P0 = R @ np.linalg.solve(L @ R, L)
     O = E_OPS[2]
-    proj_val = complex(st.K_L @ P0 @ st.T_rho() @ st.T_v(O) @ P0 @ st.K_R)
+    proj_val = complex(st.K_L @ P0 @ column(st, "rho") @ column(st, "v", O) @ P0 @ st.K_R)
     direct = mpo.expectation(fib_ts, O, 40, fib_state, x=0.0)
     assert abs(proj_val - direct) < 1e-8
 

@@ -4,6 +4,7 @@ import pytest
 from hopfbrick import build_tensors, zoo
 from hopfbrick import mpo
 from hopfbrick import oracle as orc
+from dense_reference import heisenberg_dense, normalization
 
 
 ALL_MODELS = sorted(zoo.MODELS)
@@ -54,7 +55,7 @@ def test_heisenberg_mpo_identity_contracts_to_projected_identity(fib_ts, d3_ts):
         state = mpo.MPSState.product(vec, vec)
         st = mpo.TransferStack(ts, state)
         for t in (0.5, 1, 1.5, 2, 5, 20):
-            assert abs(st.normalization(t) - 1) < 1e-9
+            assert abs(normalization(st, t) - 1) < 1e-9
 
 
 def test_heisenberg_mpo_bond_dim_and_support(d3_ts):
@@ -73,7 +74,7 @@ def test_heisenberg_mpo_at_t0_has_no_columns(fib_ts):
     hm = mpo.heisenberg_mpo(fib_ts, np.diag([1.0, 2.0, 3.0]), 0)
     assert hm.support() == []
     with pytest.raises(ValueError):
-        hm.to_dense()
+        heisenberg_dense(hm)
 
 
 def test_heisenberg_mpo_dense_vs_network_block(fib_ts):
@@ -82,7 +83,7 @@ def test_heisenberg_mpo_dense_vs_network_block(fib_ts):
     for t, leg in [(0.5, "v"), (1.0, "v"), (1.0, "rho"), (1.5, "v")]:
         hm = mpo.HeisenbergMPO(fib_ts, O, t, leg)
         dim = 3 ** hm.n_columns
-        got = hm.to_dense().reshape(dim, dim)
+        got = heisenberg_dense(hm).reshape(dim, dim)
         want = orc.heisenberg_block(fib_ts.gate, O, t, leg)
         assert np.abs(got - want).max() < 1e-11
 

@@ -1,9 +1,10 @@
-"""The benchmark's trace hooks name callables that exist.
+"""The benchmark's trace hooks name callables that exist, and run on them.
 
-`perfbench/spans.py` wraps hopfbrick functions by module and attribute name;
-a rename in the library would leave `perfbench/run.py --trace 1` without
-them.  The file is read and executed here without importing it as a module,
-so no bytecode is written next to it.
+`perfbench/spans.py` wraps hopfbrick functions by module and attribute name,
+and its hooks read the wrapped calls' arguments by position; a rename or a
+reordered signature in the library would leave `perfbench/run.py --trace 1`
+without them, or make it fail.  The file is read and executed here without
+importing it as a module, so no bytecode is written next to it.
 """
 
 import inspect
@@ -11,8 +12,11 @@ import runpy
 from importlib import import_module
 from pathlib import Path
 
+import numpy as np
+
 import hopfbrick.cli  # noqa: F401  (loads every layer module)
 from hopfbrick import mpo
+from conftest import random_unitary
 
 SPANS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"),
                        run_name="perfbench_spans")["SPANS"]
@@ -31,3 +35,35 @@ def test_every_span_resolves_on_hopfbrick():
 def test_trace_channel_hook_reads_the_window():
     # the "mpo.trace_channel" hook reads the window as the second argument
     assert list(inspect.signature(mpo._st_value).parameters)[:2] == ["ts", "window"]
+
+
+def test_hooks_run_on_traced_points(fib_ts, d3_ts):
+    # one small point per hooked layer, each on fresh states so that every
+    # environment and transfer stack is built inside the trace
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"),
+                           run_name="perfbench_spans")
+    tracer = spans["Tracer"]()
+    uninstall = spans["install"](tracer)
+    try:
+        rng = np.random.default_rng(5)
+        sites = [rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+                 for _ in range(2)]
+        mps = mpo.MPSState(rho_site=sites[0], v_site=sites[1])
+        mpo.expectation(d3_ts, np.diag([1.0, -1.0]), 1, mps)
+        fib = mpo.MPSState.product([0, 0, 1], [0, 0, 1])
+        mpo.renyi_replica(fib_ts, fib, 1, 1, 2)
+        mpo.otoc(fib_ts, random_unitary(3, rng), random_unitary(3, rng), 0, 1)
+        assert fib.check_projector_invariance(fib_ts.pair) < 1e-12
+    finally:
+        uninstall()
+    assert not tracer.stack
+    for name in ("mpo.environment", "mpo.transfer.build", "mpo.solvability_check",
+                 "mpo.trace_channel", "mpo.renyi_replica"):
+        assert tracer.calls(name) >= 1, name
+    # the hooks read the stack, the window and alpha from the calls' arguments
+    assert (d3_ts.pair.name, 2, 6 * 6 * 2 * 2) in tracer.sizes["transfer.dim"]
+    assert tracer.counts["mpo.renyi_replica_s.a2"] > 0
+    assert tracer.sizes["trace.window_sites"]
+    # every wrapper is gone again
+    assert mpo.expectation.__module__ == "hopfbrick.mpo"
+    assert "perfbench" not in inspect.getsourcefile(mpo.MPSState.check_projector_invariance)
