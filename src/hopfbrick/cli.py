@@ -16,8 +16,9 @@ outside the solvable subspace or a point was skipped (run, after every CSV
 and the manifest are written; a non-finite value or a numeric error skips
 its point); 2 unreadable or invalid input: an unknown or
 malformed model, state or operator (every subcommand; one error line, no
-traceback), a malformed quantity entry or empty grid (run, before any CSV
-is written) or, for oracle, a ring over the amplitude cap.
+traceback), a malformed quantity entry, an empty grid or one of more than
+GRID_POINTS_MAX points (run, before any CSV is written) or, for oracle, a
+ring over the amplitude cap.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from .algebra import (AlgebraSpecError, AxiomError, TOL_ALG, _complex_array,
                       algebra_to_dict, check_axioms, exponent, load_algebra)
 from .representation import RepPair, Representation, Corepresentation
 from .tensors import build_tensors, check_unitarity
+
+
+GRID_POINTS_MAX = 10 ** 6      # points one quantity entry may hold
 
 
 def _fmt(x: float) -> str:
@@ -130,13 +134,16 @@ def _dense_initial_state(circ, spec, d):
 
 def _grid(spec):
     """Grid values: a list, one number, or {start, stop, step} with stop
-    included.  ValueError on anything else, a non-finite value or a step that
-    is not positive."""
+    included.  ValueError on anything else, a non-finite value, a step that
+    is not positive or a range of more than GRID_POINTS_MAX points, which is
+    counted before anything is allocated."""
     if isinstance(spec, dict):
-        bounds = [spec.get("start"), spec.get("stop"), spec.get("step", 1.0)]
-        if not all(_is_number(v) for v in bounds) or not bounds[2] > 0:
+        start, stop, step = bounds = [spec.get("start"), spec.get("stop"), spec.get("step", 1.0)]
+        if not all(_is_number(v) for v in bounds) or not step > 0:
             raise ValueError(f"grid {spec!r} needs numbers start, stop and a positive step")
-        return list(np.arange(bounds[0], bounds[1] + 1e-9, bounds[2]))
+        if not (stop - start) / step < GRID_POINTS_MAX:
+            raise ValueError(f"grid {spec!r} has more than {GRID_POINTS_MAX} points")
+        return list(np.arange(start, stop + 1e-9, step))
     values = spec if isinstance(spec, list) else [spec]
     if not all(_is_number(v) for v in values):
         raise ValueError(f"grid {spec!r} holds a value that is not a finite number")
@@ -207,8 +214,9 @@ def _quantity_points(q):
     """Every (x, t, alpha, l) point of the quantity entry `q`, in grid order.
 
     ValueError on a malformed entry: an unknown or missing name, a missing
-    key, a malformed grid, an alpha or l that is not an integer, or no point
-    at all.  Operators and off-grid points are checked per point."""
+    key, a malformed grid, an alpha or l that is not an integer, no point at
+    all or more than GRID_POINTS_MAX.  Operators and off-grid points are
+    checked per point."""
     if not isinstance(q, dict) or q.get("name") not in _QUANTITY_KEYS:
         name = q.get("name") if isinstance(q, dict) else q
         raise ValueError(f"quantity {name!r} is not one of {', '.join(_QUANTITY_KEYS)}")
@@ -222,6 +230,9 @@ def _quantity_points(q):
         if key in q and not all(_is_number(v) and int(v) == v for v in values):
             raise ValueError(f"quantity {q['name']!r}: {key} {q[key]!r} is not an integer grid")
         grids.append(values)
+    if math.prod(map(len, grids)) > GRID_POINTS_MAX:
+        raise ValueError(f"quantity {q.get('label', q['name'])!r} has more than "
+                         f"{GRID_POINTS_MAX} points")
     points = []
     for t, x, alpha, l in itertools.product(*grids):
         pt = {"x": x, "t": t}
@@ -390,13 +401,14 @@ def cmd_oracle(args) -> int:
         O = _single_site_operator(args.O, ts.d_v)
         circ = oracle.DenseCircuit.from_tensor_set(ts, L=args.L, amplitude_cap=cap)
         psi0 = _dense_initial_state(circ, args.state, ts.d_v)
+        times = _grid({"start": 0.0, "stop": args.t, "step": 0.5})
     except (ValueError, OSError, MemoryError) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 2
     info = oracle.subspace(circ)
     print(f"ring of {circ.n_sites} sites, Hilbert dim {circ.d ** circ.n_sites}, "
           f"solvable subspace dim {info.dimension}")
-    for t in _grid({"start": 0.0, "stop": args.t, "step": 0.5}):
+    for t in times:
         val = oracle.oracle_expectation(circ, psi0, O, 0.0, t)
         print(f"  t={t:4.1f}  <O_0(t)> = {val.real:+.12f} {val.imag:+.3e}j")
     return 0

@@ -44,7 +44,9 @@ window lives on the product of every layer's bond, but only a bounded set
 of its entries can be nonzero at any t (Fibonacci OTOC: at most 875 of
 257 049, measured up to t = 400).  The sweep carries it on that exact
 support, one sparse map per site (`_sweep_cuts`), and divides out the
-channel's growth once per cell.
+channel's growth once per cell.  Replica channels likewise run on the slot
+values that carry an exact nonzero entry of a traced column (Fibonacci: 8
+of 13), and the column factors are taken on the columns' live rows.
 """
 
 from __future__ import annotations
@@ -273,14 +275,23 @@ class TransferStack:
     def factors(self, kind):
         """(U, V) with T(kind) = U @ V.T, computed once per stack.
 
-        An SVD whose singular values below RANK_CUT * sigma_max are dropped:
-        the columns are exactly low rank (34 of 169 for Fibonacci), so the cut
-        removes round-off only.
+        An SVD of the live block, the rows and columns of T that hold an exact
+        nonzero entry (Fibonacci: 34 of 169 each), whose singular values below
+        RANK_CUT * sigma_max are dropped: the block is exactly low rank, so
+        the cut removes round-off only.  U and V are exactly zero outside the
+        live rows and columns.
         """
         if kind not in self._factors:
-            u, s, vh = np.linalg.svd(self._traced[kind])
+            T = self._traced[kind]
+            rows = np.flatnonzero(np.any(T != 0, axis=1))
+            cols = np.flatnonzero(np.any(T != 0, axis=0))
+            u, s, vh = np.linalg.svd(T[np.ix_(rows, cols)])
             r = int(np.count_nonzero(s > RANK_CUT * s[0]))
-            self._factors[kind] = (u[:, :r] * s[:r], vh[:r].T)
+            U = np.zeros((self.dim, r), dtype=complex)
+            V = np.zeros((self.dim, r), dtype=complex)
+            U[rows] = u[:, :r] * s[:r]
+            V[cols] = vh[:r].T
+            self._factors[kind] = (U, V)
         return self._factors[kind]
 
     def cell(self):
@@ -495,10 +506,15 @@ def renyi_small(ts, state, l, t, alpha, memory_cap=MEMORY_CAP) -> float:
 class ReplicaChannel:
     """The alpha-replica transfer operators, applied in the rank-r pair basis.
 
-    The replica space has 2*alpha slots of dimension d_A, slot 2r the ket and
-    slot 2r+1 the bra of replica r (product states only).  An unprimed step
-    applies a column operator T to every slot pair (2r, 2r+1); a primed step
-    applies its ket<->bra transpose to the pairs (2r+1, 2r+2 mod 2*alpha).
+    The replica space has 2*alpha slots, slot 2r the ket and slot 2r+1 the
+    bra of replica r (product states only).  An unprimed step applies a
+    column operator T to every slot pair (2r, 2r+1); a primed step applies
+    its ket<->bra transpose to the pairs (2r+1, 2r+2 mod 2*alpha).  A slot
+    takes only its live values (`live`, d of the algebra's d_A): those on a
+    row or column of either traced column that holds an exact nonzero entry
+    (Fibonacci: 8 of 13, the Rydberg constraint; dihedral-3: all 6).  Every
+    factor is exactly zero on the other values, so factors, boundaries and
+    steps are restricted to the live values and drop nothing but zeros.
     Each column operator factors exactly as T = U V^T with rank r (34 of 169
     for Fibonacci), so after a step the replica vector is
     sum_k c[k_0, ..., k_{alpha-1}] (x)_r U[:, k_r] over that step's pairs.
@@ -513,7 +529,9 @@ class ReplicaChannel:
       two slots; then, alpha - 1 times, the next leg is expanded by U and the
       pending slot with its neighbour is contracted into a new leg by V; a
       closing contraction turns the last two slots into the last new leg.
-      The largest intermediate has d_A^2 r^(alpha-2) max(r, d_A^2) entries.
+      The largest intermediate has d_live^2 r^(alpha-2) max(r, d_live^2)
+      entries, d_live = d the live count (Fibonacci alpha = 3: 64 * 34 * 64,
+      was 169 * 34 * 169 on all 13 values); the memory cap is checked on it.
 
     Both boundaries are products over slots, so they are rank-one in either
     pairing: `start` returns the right boundary as c = [1] and `trace`
@@ -532,16 +550,25 @@ class ReplicaChannel:
         if state.bond_dim != 1:
             raise ValueError("replica transfer matrices support product states")
         self.alpha = int(alpha)
-        d = self.d = ts.algebra.dim
         st = state.transfer_stack(ts)
-        self._uv = {kind: [f.reshape(d, d, -1) for f in st.factors(kind)]
+        dA = ts.algebra.dim
+        # live slot values: those on a row or column of either traced column
+        # with an exact nonzero entry; every other value is zero in each factor
+        live_pairs = np.zeros((dA, dA), dtype=bool)
+        for kind in ("rho", "v"):
+            nonzero = st.T(kind) != 0
+            live_pairs |= (nonzero.any(axis=0) | nonzero.any(axis=1)).reshape(dA, dA)
+        self.live = np.flatnonzero(live_pairs.any(axis=0) | live_pairs.any(axis=1))
+        d = self.d = len(self.live)
+        pairs = (self.live[:, None] * dA + self.live).reshape(-1)
+        self._uv = {kind: [f[pairs].reshape(d, d, -1) for f in st.factors(kind)]
                     for kind in ("rho", "v")}
         r = max(U.shape[2] for U, _ in self._uv.values())
         if d * d * r ** (self.alpha - 2) * max(r, d * d) > MEMORY_CAP:
             raise MemoryError(f"alpha = {self.alpha} replica steps at rank {r} exceed "
                               f"the memory cap of {MEMORY_CAP} entries")
-        self.kr_pair = np.kron(ts.unit_vec, ts.unit_vec.conj())
-        self.kl_pair = np.kron(ts.counit_vec, ts.counit_vec.conj())
+        self.kr_pair = np.kron(ts.unit_vec, ts.unit_vec.conj())[pairs]
+        self.kl_pair = np.kron(ts.counit_vec, ts.counit_vec.conj())[pairs]
         self._steps = {}
         self._basis = None
         self._work = {}
@@ -877,13 +904,22 @@ def equilibration(ts, state):
 
 def projector_mpo(ts: SolvableTensorSet):
     """Per-site MPO tensors of the global projector, built from
-    `ts.projectors`; bond 1 for a model that carries no projectors.
+    `ts.projectors` once per tensor set and kept on it, read-only; bond 1
+    for a model that carries no projectors.
 
     Axes [bond_left, bond_right, out, in].  The v-site (integer position)
     sits between a Q bond on its left cut and a P bond on its right cut; the
     rho-site between a P bond (left) and a Q bond (right).  Each bond is cut
     to its exact rank (Fibonacci: v -> rho 2 of 9, rho -> v 9 of 9).
     """
+    if ts._projector_mpo is None:
+        ts._projector_mpo = _build_projector_mpo(ts)
+        for W in ts._projector_mpo.values():
+            W.flags.writeable = False
+    return ts._projector_mpo
+
+
+def _build_projector_mpo(ts):
     pp = ts.projectors
     if pp is None:
         return {"v": np.eye(ts.d_v, dtype=complex)[None, None],

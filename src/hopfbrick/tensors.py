@@ -56,6 +56,8 @@ class SolvableTensorSet:
     unit_vec: np.ndarray
     counit_vec: np.ndarray
     residuals: dict = field(default_factory=dict)
+    # the projector MPO, built by the engine on first use (`mpo.projector_mpo`)
+    _projector_mpo: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def algebra(self):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hopfbrick import mpo, tensors, zoo
+from hopfbrick import cli, mpo, tensors, zoo
 from hopfbrick.algebra import algebra_to_dict
 from hopfbrick.cli import _initial_state, _single_site_operator, main
 
@@ -436,7 +436,11 @@ def test_verify_malformed_field_exits_2_with_one_line(path, value, tmp_path, cap
     {"name": "expectation", "O": "e1", "t": "abc"},
     {"name": "renyi", "alpha": [2], "t": [1]},
     {"name": "expectation", "O": "e1", "t": {"start": 0, "stop": 1, "step": -0.5}},
-], ids=["zero-step", "no-name", "text-grid", "renyi-without-l", "negative-step"])
+    # counted before any array is built: not a 7 TiB allocation
+    {"name": "expectation", "O": "e1", "t": {"start": 0, "stop": 1e12, "step": 1}},
+    {"name": "expectation", "O": "e1", "t": {"start": -1e308, "stop": 1e308, "step": 0.5}},
+], ids=["zero-step", "no-name", "text-grid", "renyi-without-l", "negative-step",
+        "1e12-points", "overflowing-span"])
 def test_run_malformed_quantity_exits_2_before_any_csv(quantity, tmp_path, capsys):
     # a malformed entry anywhere in the list stops the run up front: one
     # error line, exit code 2, and no CSV, not even for the good entries
@@ -446,6 +450,25 @@ def test_run_malformed_quantity_exits_2_before_any_csv(quantity, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("run error:") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_run_grid_product_over_the_point_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # two grids under the limit whose product is over it
+    monkeypatch.setattr(cli, "GRID_POINTS_MAX", 100)
+    grid = {"start": 0, "stop": 10, "step": 1}
+    cfg = write_run_config(tmp_path / "cfg.json", "zoo:fibonacci",
+                           [{"name": "st_correlator", "A": "e3", "B": "e3", "t": grid,
+                             "x": grid}], "3")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error:") and "more than 100 points" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_oracle_oversized_time_grid_exits_2(capsys):
+    assert run_cli(["oracle", "zoo:fibonacci", "--t", "1e12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("oracle error:") and err.count("\n") == 1
 
 
 def test_weak_run_builds_one_projector_pair(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfbrick import mpo
+from dense_reference import replica_entropy
 
 
 @pytest.mark.parametrize("model,ranks", [("fib", (34, 34)), ("d3", (36, 18))])
@@ -165,3 +166,45 @@ def test_segment_memory_in_v_basis(d3_ts, d3_state):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("model", ["fib", "d3"])
+def test_replica_matches_full_slot_reference(model, request):
+    # the channel on its live slot values against the full-slot reference:
+    # the dropped slot values carry exact zeros only
+    ts = request.getfixturevalue(f"{model}_ts")
+    state = request.getfixturevalue(f"{model}_state")
+    for alpha in (2, 3):
+        for l, n in ((1, 2), (3, 1), (2, 5), (5, 1)):
+            ref = replica_entropy(ts, state, mpo._renyi_program(l, n), alpha)
+            assert abs(mpo.renyi_replica(ts, state, l, n / 2, alpha) - ref) <= 1e-12, \
+                (alpha, l, n)
+        for n in (1, 4):
+            ref = replica_entropy(ts, state, [("rho", True), ("v", False)] * n, alpha)
+            assert abs(mpo.renyi_half_chain(ts, state, n / 2, alpha) - ref) <= 1e-12, \
+                (alpha, n)
+
+
+@pytest.mark.parametrize("model,n_live", [("fib", 8), ("d3", 6)])
+def test_live_slot_support_is_exact(model, n_live, request):
+    ts = request.getfixturevalue(f"{model}_ts")
+    state = request.getfixturevalue(f"{model}_state")
+    stack = state.transfer_stack(ts)
+    ch = mpo.ReplicaChannel(ts, state, 2)
+    dA = ts.algebra.dim
+    assert ch.d == len(ch.live) == n_live
+    pairs = (ch.live[:, None] * dA + ch.live).reshape(-1)
+    for kind in ("rho", "v"):
+        T = stack.T(kind)
+        # every nonzero entry of the traced column sits on live slot values
+        rows, cols = np.nonzero(T)
+        assert np.isin(np.divmod(rows, dA), ch.live).all()
+        assert np.isin(np.divmod(cols, dA), ch.live).all()
+        # the restricted factors reproduce the column on the live pairs
+        U, V = (F.reshape(n_live ** 2, -1) for F in ch._uv[kind])
+        T_live = T[np.ix_(pairs, pairs)]
+        assert np.linalg.norm(U @ V.T - T_live) <= 1e-13 * np.linalg.norm(T)
+        # the stack's factors are exactly zero off the column's live rows
+        U, V = stack.factors(kind)
+        assert not U[~np.any(T != 0, axis=1)].any()
+        assert not V[~np.any(T != 0, axis=0)].any()

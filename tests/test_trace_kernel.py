@@ -129,3 +129,19 @@ def test_large_t_values_stay_finite(fib_ts):
     assert np.isfinite(F) and abs(F) <= 1
     ring = mpo.st_correlator(fib_ts, E1, E1, 0.0, 400, ring_cells=1000)
     assert np.isfinite(ring) and abs(ring - want) <= 1e-10
+
+
+def test_projector_mpo_built_once_per_tensor_set(monkeypatch):
+    # the projector MPO depends only on the tensor set: a second otoc on the
+    # same set takes no SVD (building it costs two), and its tensors are shared
+    ts = build_tensors(zoo.model("fibonacci"))
+    rng = np.random.default_rng(5)
+    V, W = random_unitary(3, rng), random_unitary(3, rng)
+    first = mpo.otoc(ts, V, W, 0.0, 1.0)
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    assert mpo.otoc(ts, V, W, 0.0, 1.0) == first
+    assert svds == []
+    assert mpo.projector_mpo(ts) is mpo.projector_mpo(ts)
+    assert not any(M.flags.writeable for M in mpo.projector_mpo(ts).values())
