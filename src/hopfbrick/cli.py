@@ -36,8 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, mpo, oracle, zoo
-from .algebra import (AlgebraSpecError, AxiomError, TOL_ALG, _complex_array,
-                      algebra_to_dict, check_axioms, exponent, load_algebra)
+from .algebra import (AlgebraSpecError, AxiomError, ExponentCapError, TOL_ALG,
+                      _complex_array, algebra_to_dict, check_axioms, exponent,
+                      load_algebra)
 from .representation import RepPair, Representation, Corepresentation
 from .tensors import build_tensors, check_unitarity
 
@@ -420,16 +421,16 @@ def cmd_oracle(args) -> int:
 def cmd_revival(args) -> int:
     try:
         pair = _load_model(args.model, tol=args.tol)
-    except (ValueError, OSError) as exc:
+        eta, nu = exponent(pair.algebra, cap=64 if args.cap is None else args.cap)
+        if args.dense:
+            circ = oracle.DenseCircuit.from_tensor_set(build_tensors(pair), L=args.L)
+            t_min, phase = oracle.minimal_period(circ, eta=eta)
+    except (ValueError, OSError, MemoryError, ExponentCapError) as exc:
         print(f"revival error: {exc}", file=sys.stderr)
         return 2
-    eta, nu = exponent(pair.algebra, cap=64 if args.cap is None else args.cap)
     print(f"exponent: eta = {eta}, nu = {nu}")
     print(f"revival-time bound for L = {args.L}: eta * L = {eta * args.L}")
     if args.dense:
-        ts = build_tensors(pair)
-        circ = oracle.DenseCircuit.from_tensor_set(ts, L=args.L)
-        t_min, phase = oracle.minimal_period(circ, eta=eta)
         divides = (eta * args.L) % t_min == 0
         print(f"dense minimal period on the solvable subspace: {t_min} "
               f"(phase {phase:+.6f}), divides eta*L: {divides}")

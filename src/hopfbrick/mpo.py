@@ -294,9 +294,6 @@ class TransferStack:
             self._factors[kind] = (U, V)
         return self._factors[kind]
 
-    def cell(self):
-        return self._traced["rho"] @ self._traced["v"]
-
 
 # -- operator-shape MPOs ----------------------------------------------------------------
 
@@ -462,7 +459,7 @@ def _renyi_program(l, n):
             + [("rho", False), ("v", False)] * (n - k) + [("rho", False), ("v", True)] * k)
 
 
-def reduced_density_matrix(ts, state, l, t, memory_cap=MEMORY_CAP) -> np.ndarray:
+def reduced_density_matrix(ts, state, l, t) -> np.ndarray:
     """The rotated reduced density matrix of a 2l-qudit block, at every (l, t).
 
     `_renyi_program(l, 2t)` on one copy with the open columns' legs kept: the
@@ -471,7 +468,7 @@ def reduced_density_matrix(ts, state, l, t, memory_cap=MEMORY_CAP) -> np.ndarray
     legs of the open columns, in program order.
     """
     dr, dv = ts.d_rho, ts.d_v
-    if (dr * dv) ** (2 * l) > memory_cap:
+    if (dr * dv) ** (2 * l) > MEMORY_CAP:
         raise MemoryError("reduced density matrix exceeds the memory cap")
     st = state.transfer_stack(ts)
     D = st.dim
@@ -493,13 +490,13 @@ def reduced_density_matrix(ts, state, l, t, memory_cap=MEMORY_CAP) -> np.ndarray
     return M.reshape(dr ** l * dv ** l, dr ** l * dv ** l)
 
 
-def renyi_small(ts, state, l, t, alpha, memory_cap=MEMORY_CAP) -> float:
+def renyi_small(ts, state, l, t, alpha) -> float:
     """H_alpha of a 2l-qudit block via the explicit reduced density matrix."""
     if alpha < 2 or int(alpha) != alpha:
         raise ValueError("alpha must be an integer >= 2")
     if _half_steps(t) == 0:
         return 0.0
-    M = reduced_density_matrix(ts, state, l, t, memory_cap)
+    M = reduced_density_matrix(ts, state, l, t)
     return _entropy_from_rdm(M, alpha)
 
 
@@ -869,9 +866,11 @@ def _sectors(M):
 def equilibration(ts, state):
     """(lambda_1, info): subleading transfer eigenvalue and decay data.
 
-    The spectrum of the cell is the union of the spectra of its diagonal
-    blocks on `_sectors` (dihedral-3 at bond 4: six blocks of 96 instead of
-    one 576 x 576 matrix); blocks of one size go to one batched `eigvals`.
+    Both columns are block diagonal on the `_sectors` of their joint exact
+    nonzero pattern, so the cell T_rho T_v is too; its spectrum is the union
+    of those of its diagonal blocks T_rho[s, s] T_v[s, s], the only ones
+    formed (dihedral-3 at bond 4: six blocks of 96 instead of one 576 x 576
+    matrix), and blocks of one size go to one batched `eigvals`.
     lambda_1 is the largest-modulus eigenvalue strictly inside the unit
     circle, and the rate is -log of that modulus; among the eigenvalues
     within `TOL_NUM` of it, lambda_1 is the one with Im >= -TOL_NUM, then the
@@ -879,11 +878,12 @@ def equilibration(ts, state):
     Equilibration of an L_A-cell block happens at
     t* = L_A/2 + O(log 1/|l1|).
     """
-    C = state.transfer_stack(ts).cell()
+    T_rho, T_v = map(state.transfer_stack(ts).T, ("rho", "v"))
     by_size = {}
-    for sec in _sectors(C):
+    for sec in _sectors((T_rho != 0) | (T_v != 0)):
         by_size.setdefault(len(sec), []).append(sec)
-    vals = np.concatenate([np.linalg.eigvals(C[idx[:, :, None], idx[:, None, :]]).ravel()
+    vals = np.concatenate([np.linalg.eigvals(T_rho[idx[:, :, None], idx[:, None, :]]
+                                             @ T_v[idx[:, :, None], idx[:, None, :]]).ravel()
                            for idx in map(np.array, by_size.values())])
     radius = float(np.abs(vals).max())
     if abs(radius - 1.0) > 1e-6:

@@ -17,6 +17,7 @@ at most `COLUMN_BLOCK` amplitudes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -435,9 +436,7 @@ def minimal_period(circuit: DenseCircuit, eta=None, cap_factor=4):
     given (else 4 * 64 * L).
     """
     dim = circuit.d ** circuit.n_sites
-    if dim > DENSE_U_CAP:
-        raise MemoryError(f"dense evolution operator dim {dim} exceeds {DENSE_U_CAP}")
-    U = evolution_matrix(circuit, 1)
+    U = evolution_matrix(circuit, 1)          # raises MemoryError above DENSE_U_CAP
     basis, D = _subspace_basis_vectors(circuit)
     if basis is None:
         basis = np.eye(dim, dtype=complex)
@@ -453,53 +452,44 @@ def minimal_period(circuit: DenseCircuit, eta=None, cap_factor=4):
 
 
 # -- dense gate-network contractions (shape oracles) --------------------------------
+# Each operator shape is its gate network contracted by one einsum; the engine
+# builds the same shapes from its own matrix products and shares no code here.
 
 
-def _einsum_network(gates, wiring, out_labels):
-    """Contract identical 4-leg gates per a wiring of integer labels."""
-    operands = []
-    for g, labels in zip(gates, wiring):
-        operands.append(g)
-        operands.append(labels)
-    operands.append(out_labels)
-    return np.einsum(*operands, optimize=True)
+def _gate_network(gate, crossings, out):
+    """Contract one gate at each crossing of a rho worldline with a v worldline.
+
+    Gate axes are (i, a, b, j): i up-left, a up-right, b down-left, j
+    down-right.  Rho line m enters on leg b_m, passes each of its gates from b
+    to a and leaves on a_m; v line m enters on j_m, passes j -> i and leaves on
+    i_m.  `crossings` lists (rho line, v line) pairs, 1-based, so that every
+    line meets its crossings in order; `out` names the output legs, such as
+    ("a", 1), in axis order.
+    """
+    n = max(max(pair) for pair in crossings)
+    legs = [(leg, m) for leg in "aibj" for m in range(1, n + 1)]
+    label = {leg: k for k, leg in enumerate(legs, start=1)}
+    line = {leg: label[leg] for leg in legs if leg[0] in "bj"}   # open label, keyed by entry leg
+    left = Counter([("b", r) for r, _ in crossings] + [("j", v) for _, v in crossings])
+    fresh, operands = len(legs), []
+    for r, v in crossings:
+        entering = [line["b", r], line["j", v]]
+        for key, end in ((("j", v), ("i", v)), (("b", r), ("a", r))):
+            left[key] -= 1
+            fresh += left[key] > 0
+            line[key] = fresh if left[key] else label[end]
+        operands += [gate, [line["j", v], line["b", r]] + entering]
+    return np.einsum(*operands, [label[leg] for leg in out], optimize=True)
 
 
 def network_triangle(gate, n):
     """Direct contraction of the n-layer triangular gate network.
 
-    Output axes: (a1, i1, ..., an, in, b1, j1, ..., bn, jn).  Gate axes are
-    (i, a, b, j): i up-left, a up-right, b down-left, j down-right.
+    Output axes: (a1, i1, ..., an, in, b1, j1, ..., bn, jn).
     """
-    fresh = [max(0, 0)]
-
-    def new():
-        fresh[0] += 1
-        return fresh[0]
-
-    ext_a = {k: new() for k in range(1, n + 1)}
-    ext_i = {k: new() for k in range(1, n + 1)}
-    ext_b = {k: new() for k in range(1, n + 1)}
-    ext_j = {k: new() for k in range(1, n + 1)}
-    a_out = {}
-    i_out = {}
-    wiring, gates = [], []
-    for r in range(1, n + 1):
-        for c in range(1, n - r + 2):
-            b_in = ext_b[c] if r == 1 else a_out[(r - 1, c)]
-            j_in = ext_j[c] if r == 1 else i_out[(r - 1, c + 1)]
-            i_lab = ext_i[r] if c == 1 else new()
-            a_lab = ext_a[n - r + 1] if c == n - r + 1 else new()
-            i_out[(r, c)] = i_lab
-            a_out[(r, c)] = a_lab
-            gates.append(gate)
-            wiring.append([i_lab, a_lab, b_in, j_in])
-    out = []
-    for k in range(1, n + 1):
-        out += [ext_a[k], ext_i[k]]
-    for k in range(1, n + 1):
-        out += [ext_b[k], ext_j[k]]
-    return _einsum_network(gates, wiring, out)
+    crossings = [(c, r + c - 1) for r in range(1, n + 1) for c in range(1, n - r + 2)]
+    out = [(leg, k) for pair in ("ai", "bj") for k in range(1, n + 1) for leg in pair]
+    return _gate_network(gate, crossings, out)
 
 
 def network_diamond(gate, n, power=1):
@@ -508,28 +498,8 @@ def network_diamond(gate, n, power=1):
     Output axes: (a1..an, i1..in, b1..bn, j1..jn) in blocks, matching the
     (rho-block, v-block) index grouping of the diamond operator.
     """
-    fresh = [0]
-
-    def new():
-        fresh[0] += 1
-        return fresh[0]
-
-    ext = {name: {k: new() for k in range(1, n + 1)} for name in "aibj"}
-    a_out, i_out = {}, {}
-    wiring, gates = [], []
-    for p in range(n):
-        for q in range(n):
-            b_in = ext["b"][n - p] if q == 0 else a_out[(p, q - 1)]
-            j_in = ext["j"][q + 1] if p == 0 else i_out[(p - 1, q)]
-            i_lab = ext["i"][q + 1] if p == n - 1 else new()
-            a_lab = ext["a"][n - p] if q == n - 1 else new()
-            i_out[(p, q)] = i_lab
-            a_out[(p, q)] = a_lab
-            gates.append(gate)
-            wiring.append([i_lab, a_lab, b_in, j_in])
-    out = [ext["a"][k] for k in range(1, n + 1)] + [ext["i"][k] for k in range(1, n + 1)] \
-        + [ext["b"][k] for k in range(1, n + 1)] + [ext["j"][k] for k in range(1, n + 1)]
-    block = _einsum_network(gates, wiring, out)
+    crossings = [(n - p, q + 1) for p in range(n) for q in range(n)]
+    block = _gate_network(gate, crossings, [(leg, k) for leg in "aibj" for k in range(1, n + 1)])
     dv, dr = gate.shape[0], gate.shape[1]
     mat = block.reshape(dr ** n * dv ** n, dr ** n * dv ** n)
     return np.linalg.matrix_power(mat, power)
@@ -540,31 +510,9 @@ def network_inverted_triangle(gate, n):
 
     Output axes: (i1, a1, ..., in, an, j1, b1, ..., jn, bn).
     """
-    fresh = [0]
-
-    def new():
-        fresh[0] += 1
-        return fresh[0]
-
-    ext = {name: {k: new() for k in range(1, n + 1)} for name in "aibj"}
-    a_out, i_out = {}, {}
-    wiring, gates = [], []
-    for r in range(1, n + 1):
-        for c in range(1, r + 1):
-            b_in = ext["b"][n - r + 1] if c == 1 else a_out[(r - 1, c - 1)]
-            j_in = ext["j"][r] if c == r else i_out[(r - 1, c)]
-            i_lab = ext["i"][c] if r == n else new()
-            a_lab = ext["a"][c] if r == n else new()
-            i_out[(r, c)] = i_lab
-            a_out[(r, c)] = a_lab
-            gates.append(gate)
-            wiring.append([i_lab, a_lab, b_in, j_in])
-    out = []
-    for k in range(1, n + 1):
-        out += [ext["i"][k], ext["a"][k]]
-    for k in range(1, n + 1):
-        out += [ext["j"][k], ext["b"][k]]
-    return _einsum_network(gates, wiring, out)
+    crossings = [(n - r + c, c) for r in range(1, n + 1) for c in range(1, r + 1)]
+    out = [(leg, k) for pair in ("ia", "jb") for k in range(1, n + 1) for leg in pair]
+    return _gate_network(gate, crossings, out)
 
 
 # -- IRF model ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Dense references for the engine's matrix-free column and MPO paths.
 
 Each builds in full what the engine never forms: a column transfer matrix
-with an operator inserted, the program of a quench without operators, the
-operator O(t) on the sites its Heisenberg MPO covers, and the replica
-channel on every value of every slot.
+with an operator inserted, the whole two-column cell, the program of a
+quench without operators, the operator O(t) on the sites its Heisenberg MPO
+covers, and the replica channel on every value of every slot.
 """
 
 import math
@@ -21,6 +21,12 @@ def column(st, kind, op=None):
     K = st._kets[kind]
     # sum_{a, B} op[B, a] K[a] (x) conj(K[B])
     return st._pair(K, np.tensordot(np.asarray(op, dtype=complex).T, K.conj(), axes=1))
+
+
+def cell(st):
+    """The two-column cell T(rho) T(v) of the TransferStack `st` as one dense
+    matrix; `mpo.equilibration` forms only its diagonal sector blocks."""
+    return st.T("rho") @ st.T("v")
 
 
 def normalization(st, t) -> complex:

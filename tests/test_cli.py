@@ -233,6 +233,15 @@ def test_oracle_command_honours_explicit_cap(capsys):
     assert err.startswith("oracle error:") and err.count("\n") == 1
 
 
+def test_revival_exponent_cap_exits_2_with_one_line(capsys):
+    # --cap 1 stops the exponent search before Fibonacci's powers repeat: one
+    # error line and exit code 2, never a traceback
+    assert run_cli(["--cap", "1", "revival", "zoo:fibonacci"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("revival error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "zoo:nope"],
     ["revival", "zoo:nope"],
@@ -240,9 +249,11 @@ def test_oracle_command_honours_explicit_cap(capsys):
     ["oracle", "zoo:fibonacci", "--state", "9"],
     ["oracle", "zoo:fibonacci", "--O", "e9"],
     *(["run", f"run-{spec}"] for spec in MALFORMED_SPECS),
+    ["revival", "zoo:fibonacci", "--L", "3", "--dense"],
 ], indirect=True)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
-    # an unknown model, state or operator is one error line and exit code 2
+    # an unknown model, state or operator, or a ring too large for the dense
+    # revival check, is one error line and exit code 2
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == 2
     err = capsys.readouterr().err

@@ -10,7 +10,7 @@ from hopfbrick import build_tensors, zoo
 from hopfbrick import mpo
 from hopfbrick import oracle as orc
 from conftest import random_unitary
-from dense_reference import column, heisenberg_dense, normalization
+from dense_reference import cell, column, heisenberg_dense, normalization
 
 ZETA = zoo.ZETA
 S5 = np.sqrt(5.0)
@@ -55,7 +55,7 @@ def test_normalization_invariant(fib_ts, d3_ts, fib_state, d3_state):
 def test_spectral_radius_one(fib_ts, d3_ts, fib_state, d3_state):
     for ts, state in ((fib_ts, fib_state), (d3_ts, d3_state)):
         st = mpo.TransferStack(ts, state)
-        vals = np.abs(np.linalg.eigvals(st.cell()))
+        vals = np.abs(np.linalg.eigvals(cell(st)))
         assert abs(vals.max() - 1) < 1e-9
 
 
@@ -377,7 +377,7 @@ def _dense_equilibration(C, tol=mpo.TOL_NUM):
 
 def test_sectors_partition_and_block_diagonal(quench_case):
     ts, state = quench_case
-    C = state.transfer_stack(ts).cell()
+    C = cell(state.transfer_stack(ts))
     sectors = mpo._sectors(C)
     assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(len(C)))
     label = np.empty(len(C), dtype=int)
@@ -403,7 +403,7 @@ def test_sectors_follow_links_either_way():
 def test_sector_spectrum_equals_dense_eigvals(quench_case):
     from scipy.optimize import linear_sum_assignment
     ts, state = quench_case
-    C = state.transfer_stack(ts).cell()
+    C = cell(state.transfer_stack(ts))
     blocks = np.concatenate([np.linalg.eigvals(C[np.ix_(sec, sec)])
                              for sec in mpo._sectors(C)])
     dense = np.linalg.eigvals(C)
@@ -416,7 +416,7 @@ def test_sector_spectrum_equals_dense_eigvals(quench_case):
 def test_equilibration_matches_dense_path(quench_case):
     ts, state = quench_case
     lam1, info = mpo.equilibration(ts, state)
-    rate, unit = _dense_equilibration(state.transfer_stack(ts).cell())
+    rate, unit = _dense_equilibration(cell(state.transfer_stack(ts)))
     assert abs(info["rate"] - rate) < 1e-12
     assert info["unit_multiplicity"] == unit
     assert abs(info["rate"] + np.log(abs(lam1))) <= mpo.TOL_NUM
@@ -429,7 +429,7 @@ def test_lambda1_does_not_depend_on_sector_order(quench_case, monkeypatch):
     monkeypatch.setattr(mpo, "_sectors", lambda M: sectors(M)[::-1])
     assert mpo.equilibration(ts, state)[0] == lam1
     # the rule itself: among the ties in modulus, Im >= -tol, then largest Re
-    vals = np.linalg.eigvals(state.transfer_stack(ts).cell())
+    vals = np.linalg.eigvals(cell(state.transfer_stack(ts)))
     inside = vals[np.abs(vals) < 1 - mpo.TOL_NUM]
     ties = inside[np.abs(inside) >= np.abs(inside).max() - mpo.TOL_NUM]
     upper = ties[ties.imag >= -mpo.TOL_NUM]
@@ -595,9 +595,9 @@ def test_fib_heisenberg_consistency_l5(fib_ts, fib_state):
 def test_stationary_value_via_transfer_projector(fib_ts, fib_state):
     # the large-t limit of <O(t)> equals the unit-eigenspace-projected value
     st = mpo.TransferStack(fib_ts, fib_state)
-    cell = st.cell()
-    vals, vr = np.linalg.eig(cell)
-    wl, vl = np.linalg.eig(cell.T)
+    C = cell(st)
+    vals, vr = np.linalg.eig(C)
+    wl, vl = np.linalg.eig(C.T)
     R = vr[:, np.abs(vals - 1) < 1e-9]
     L = vl[:, np.abs(wl - 1) < 1e-9].T
     # spectral projector onto the (degenerate) eigenvalue-1 block
@@ -612,7 +612,7 @@ def test_renyi_memory_cap(fib_ts, fib_state):
     # the cap holds at late (l <= 2t) and early (l > 2t) times alike
     for t in (8, 1):
         with pytest.raises(MemoryError):
-            mpo.renyi_small(fib_ts, fib_state, 8, t, 2, memory_cap=2 ** 20)
+            mpo.renyi_small(fib_ts, fib_state, 8, t, 2)
 
 
 def test_oracle_quantities_batch(fib_ts):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -175,6 +178,23 @@ def test_shape_networks_small():
     assert np.abs(inv - np.transpose(U, (0, 1, 3, 2))).max() < 1e-14   # (i,a,j,b)
     dia = orc.network_diamond(U, 1)
     assert np.abs(dia - np.transpose(U, (1, 0, 2, 3)).reshape(4, 4)).max() < 1e-14
+
+
+def test_oracle_leaves_engine_out():
+    # the oracle is an independent ground truth: its shape networks,
+    # Heisenberg blocks and traces never load the transfer-matrix engine
+    code = ("import sys, numpy as np\n"
+            "from hopfbrick import build_tensors, zoo, oracle as orc\n"
+            "ts = build_tensors(zoo.model('fibonacci'))\n"
+            "orc.network_triangle(ts.gate, 2); orc.network_diamond(ts.gate, 2, power=2)\n"
+            "orc.network_inverted_triangle(ts.gate, 2)\n"
+            "orc.heisenberg_block(ts.gate, np.diag([1, 0, 0]), 1, 'v')\n"
+            "circ = orc.DenseCircuit.from_tensor_set(ts, L=2)\n"
+            "orc.oracle_otoc(circ, np.diag([1, 0, 0]), np.diag([0, 1, 0]), 0.5, 1)\n"
+            "print('hopfbrick.mpo' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_heisenberg_block_matches_direct():
