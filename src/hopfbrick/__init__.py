@@ -6,7 +6,6 @@ from .algebra import (
     AlgebraSpecError,
     AxiomError,
     CanonicalElementPower,
-    DualElement,
     ExponentCapError,
     antipode_apply,
     canonical_power,

@@ -8,8 +8,8 @@ transfer matrices, projectors) is built from these arrays.
 
 Axioms are organized in tiers ("algebra" up to "cstar-weak-hopf"); every tier
 check returns named max-norm residuals so that a failing identity can be
-pinpointed.  Structure constants are kept sparse (COO triples) and densified
-per slice, since the shipped models are all very sparse but some have dim > 100.
+pinpointed.  Structure constants are stored sparse (COO triples); the checks
+contract their dense dim^3 arrays, built once per algebra.
 """
 
 from __future__ import annotations
@@ -121,7 +121,6 @@ class SparseRank3:
         self.idx = idx[order]
         self.vals = vals[order]
         self._dense = None
-        self._rows = None
 
     @classmethod
     def from_dict(cls, dim, entries):
@@ -135,17 +134,9 @@ class SparseRank3:
             d = self.dim
             out = np.zeros((d, d, d), dtype=complex)
             np.add.at(out, tuple(self.idx.T), self.vals)
+            out.setflags(write=False)          # shared by every check and caller
             self._dense = out
         return self._dense
-
-    def rows(self):
-        """List of sparse slices: rows()[i] = [(j, k, val), ...]."""
-        if self._rows is None:
-            rows = [[] for _ in range(self.dim)]
-            for (i, j, k), v in zip(self.idx, self.vals):
-                rows[i].append((int(j), int(k), v))
-            self._rows = rows
-        return self._rows
 
 
 @dataclass
@@ -216,32 +207,13 @@ class AlgebraData:
 
     def left_mult_matrix(self, i):
         """Matrix L_i with (e_i * y)-coeffs = L_i @ y-coeffs."""
-        key = ("lmat", i)
-        if key not in self._cache:
-            d = self.dim
-            out = np.zeros((d, d), dtype=complex)
-            for j, k, v in self.mult.rows()[i]:
-                out[k, j] += v
-            self._cache[key] = out
-        return self._cache[key]
+        return self.mult.dense()[i].T
 
     def unit_comult_matrix(self):
         """Delta(1) as a dim x dim coefficient matrix."""
         if "d1" not in self._cache:
             self._cache["d1"] = self.comult_coeffs(self.unit)
         return self._cache["d1"]
-
-    def sweedler_legs(self, xc, n=2):
-        """Delta^{(n-1)} of x as a rank-n coefficient tensor (n >= 1)."""
-        out = xc
-        for _ in range(n - 1):
-            # expand last leg: T[..., z] -> sum_z T[..., z] Lambda[z,a,b]
-            z, a, b = self.comult.idx.T
-            new = np.zeros(out.shape[:-1] + (self.dim, self.dim), dtype=complex)
-            np.add.at(new.reshape(-1, self.dim, self.dim),
-                      (slice(None), a, b), out.reshape(-1, self.dim)[:, z] * self.comult.vals)
-            out = new
-        return out
 
 
 @dataclass
@@ -251,31 +223,9 @@ class AlgebraElement:
     algebra: AlgebraData
     coeffs: np.ndarray
 
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, complex(scalar) * self.coeffs)
-
     def _check(self, other):
         if other.algebra.dim != self.algebra.dim:
             raise ValueError("dimension mismatch between algebra elements")
-
-
-@dataclass
-class DualElement:
-    """Coefficient covector over the dual basis delta_x of the dual space."""
-
-    algebra: AlgebraData
-    coeffs: np.ndarray
-
-    def pair(self, x: AlgebraElement) -> complex:
-        return complex(self.coeffs @ x.coeffs)
 
 
 @dataclass
@@ -312,181 +262,127 @@ def star_apply(x: AlgebraElement) -> AlgebraElement:
 
 def source_target_maps(x: AlgebraElement):
     """(eps_s(x), eps_t(x)) built from the Sweedler legs of Delta(1)."""
-    A = x.algebra
-    chain = tier_chain(A.tier)
-    if "weak-bialgebra" not in chain and "bialgebra" not in chain:
-        raise AxiomError("tier", np.inf, "source/target maps need weak-bialgebra tier or higher")
-    d1 = A.unit_comult_matrix()               # Delta(1)[p,q]
-    eye = np.eye(A.dim, dtype=complex)
-    # eps_s(x) = 1_(1) eps(x 1_(2));  eps_t(x) = eps(1_(1) x) 1_(2)
-    eps_x_right = np.array([A.counit_value(A.mult_coeffs(x.coeffs, eye[q])) for q in range(A.dim)])
-    eps_left_x = np.array([A.counit_value(A.mult_coeffs(eye[p], x.coeffs)) for p in range(A.dim)])
-    return AlgebraElement(A, d1 @ eps_x_right), AlgebraElement(A, eps_left_x @ d1)
+    eps_s, eps_t = _source_target(x.algebra)
+    return AlgebraElement(x.algebra, x.coeffs @ eps_s), AlgebraElement(x.algebra, x.coeffs @ eps_t)
 
 
 # -- axiom checks ---------------------------------------------------------------
+# Each residual contracts the dense structure constants Om = Omega and
+# Lam = Lambda; a loop runs over at most one basis index (and the legs of one
+# Delta(x)), so no intermediate exceeds dim^3 entries.
+
+
+def _counit_products(A: AlgebraData) -> np.ndarray:
+    """E[x, y] = eps(e_x e_y)."""
+    return A.mult.dense() @ A.counit
+
+
+def _source_target(A: AlgebraData):
+    """Matrices whose row x holds eps_s(e_x) and eps_t(e_x), where
+    eps_s(x) = 1_(1) eps(x 1_(2)) and eps_t(x) = eps(1_(1) x) 1_(2)."""
+    chain = tier_chain(A.tier)
+    if "weak-bialgebra" not in chain and "bialgebra" not in chain:
+        raise AxiomError("tier", np.inf, "source/target maps need weak-bialgebra tier or higher")
+    E, d1 = _counit_products(A), A.unit_comult_matrix()
+    return E @ d1.T, E.T @ d1
+
+
+def _convolution(A: AlgebraData, X, Y) -> np.ndarray:
+    """Row x holds m(X (x) Y) Delta(e_x) for the linear maps with matrices X, Y."""
+    return np.tensordot(X @ A.comult.dense() @ Y.T, A.mult.dense(), 2)
 
 
 def _residual_associativity(A: AlgebraData) -> float:
-    d = A.dim
-    res = 0.0
-    L = np.stack([A.left_mult_matrix(i) for i in range(d)])   # L[x][k,j] = Omega[x,j,k]
-    for x in range(d):
-        # associativity <=> L_{x*e_j} = L_x L_j for all j
-        lxy = np.tensordot(L[x], L, axes=([0], [0]))          # [j][a,b] = sum_k L[x][k,j] L[k][a,b]
-        rhs = np.matmul(L[x][None, :, :], L)                  # [j][a,b] = (L_x L_j)[a,b]
-        res = max(res, float(np.abs(lxy - rhs).max()))
-    return res
+    Om = A.mult.dense()
+    # [y, z, w]: coefficient w of (e_x e_y) e_z, resp. e_x (e_y e_z)
+    return max(float(np.abs(np.tensordot(Om[x], Om, 1) - Om @ Om[x]).max())
+               for x in range(A.dim))
 
 
 def _residual_unitality(A: AlgebraData) -> float:
-    d = A.dim
-    eye = np.eye(d, dtype=complex)
-    left = np.stack([A.mult_coeffs(A.unit, eye[i]) for i in range(d)])
-    right = np.stack([A.mult_coeffs(eye[i], A.unit) for i in range(d)])
+    Om, eye = A.mult.dense(), np.eye(A.dim)
+    left = np.tensordot(A.unit, Om, 1)             # [x, z]: 1 e_x
+    right = np.tensordot(Om, A.unit, (1, 0))       # [x, z]: e_x 1
     return float(max(np.abs(left - eye).max(), np.abs(right - eye).max()))
 
 
 def _residual_coassociativity(A: AlgebraData) -> float:
-    d = A.dim
+    Lam = A.comult.dense()
+    # (Delta (x) id) Delta(e_z) as [c, a, b], (id (x) Delta) Delta(e_z) as [a, b, c]
+    return max(float(np.abs(np.tensordot(Lam[z], Lam, (0, 0)).transpose(1, 2, 0)
+                            - np.tensordot(Lam[z], Lam, (1, 0))).max())
+               for z in range(A.dim))
+
+
+def _residual_counitality(A: AlgebraData) -> float:
+    Lam, eye = A.comult.dense(), np.eye(A.dim)
+    left = np.tensordot(A.counit, Lam, (0, 1))     # (eps (x) id) Delta(e_z)
+    right = Lam @ A.counit                         # (id (x) eps) Delta(e_z)
+    return float(max(np.abs(left - eye).max(), np.abs(right - eye).max()))
+
+
+def _residual_delta_multiplicative(A: AlgebraData) -> float:
+    Om, Lam = A.mult.dense(), A.comult.dense()
     res = 0.0
-    uu, aa, bb = A.comult.idx.T
-    vals = A.comult.vals
-    for z in range(d):
-        two = A.comult_coeffs(np.eye(d, dtype=complex)[z])
-        # lhs[a,b,c] = sum_u Lambda[u,a,b] two[u,c];  rhs[a,b,c] = sum_u two[a,u] Lambda[u,b,c]
-        lhs = np.zeros((d, d, d), dtype=complex)
-        rhs = np.zeros((d, d, d), dtype=complex)
-        np.add.at(lhs, (aa, bb), vals[:, None] * two[uu, :])
-        np.add.at(rhs.transpose(1, 2, 0), (aa, bb), vals[:, None] * two[:, uu].T)
+    for x in range(A.dim):
+        lhs = np.tensordot(Om[x], Lam, 1)          # [y, a, b]: Delta(e_x e_y)
+        # Delta(e_x) Delta(e_y) = sum_pq Lam[x,p,q] (e_p (x) e_q) Delta(e_y)
+        rhs = sum(Lam[x, p, q] * (Om[p].T @ Lam @ Om[q]) for p, q in zip(*np.nonzero(Lam[x])))
         res = max(res, float(np.abs(lhs - rhs).max()))
     return res
 
 
-def _residual_counitality(A: AlgebraData) -> float:
-    d = A.dim
-    eye = np.eye(d, dtype=complex)
-    res = 0.0
-    for z in range(d):
-        two = A.comult_coeffs(eye[z])
-        left = A.counit @ two          # (eps (x) id) Delta(z)
-        right = two @ A.counit         # (id (x) eps) Delta(z)
-        res = max(res, float(np.abs(left - eye[z]).max()), float(np.abs(right - eye[z]).max()))
-    return res
-
-
-def _residual_delta_multiplicative(A: AlgebraData) -> float:
-    d = A.dim
-    eye = np.eye(d, dtype=complex)
-    crow = A.comult.rows()
-    res = 0.0
-    for x in range(d):
-        dx = crow[x]
-        for y in range(d):
-            prod = A.mult_coeffs(eye[x], eye[y])
-            lhs = A.comult_coeffs(prod)
-            rhs = np.zeros((d, d), dtype=complex)
-            for (a, b, v1) in dx:
-                for (c, e, v2) in crow[y]:
-                    rhs += (v1 * v2) * np.outer(A.mult_coeffs(eye[a], eye[c]),
-                                                A.mult_coeffs(eye[b], eye[e]))
-            res = max(res, float(np.abs(lhs - rhs).max()))
-    return res
-
-
 def _residual_bialgebra_unit_counit(A: AlgebraData) -> float:
-    d = A.dim
-    eye = np.eye(d, dtype=complex)
     d1 = A.unit_comult_matrix()
-    res = float(np.abs(d1 - np.outer(A.unit, A.unit)).max())
-    eps_prod = np.array([[A.counit_value(A.mult_coeffs(eye[x], eye[y])) for y in range(d)]
-                         for x in range(d)])
-    res = max(res, float(np.abs(eps_prod - np.outer(A.counit, A.counit)).max()))
-    res = max(res, abs(complex(A.counit @ A.unit) - 1.0))
-    return res
+    return float(max(np.abs(d1 - np.outer(A.unit, A.unit)).max(),
+                     np.abs(_counit_products(A) - np.outer(A.counit, A.counit)).max(),
+                     abs(A.counit @ A.unit - 1.0)))
 
 
 def _residual_weak_unit(A: AlgebraData) -> float:
     """Delta^2(1) = [1 (x) Delta(1)][Delta(1) (x) 1] = [Delta(1) (x) 1][1 (x) Delta(1)]."""
-    d = A.dim
-    d2 = A.sweedler_legs(A.unit, 3)            # [p,q,r]
-    d1 = A.unit_comult_matrix()
-    # mid1[p,m,r] = sum d1[p,u] d1[w,r] Omega[u,w,m]   (1_(1) (x) 1_(2)1_(1') (x) 1_(2'))
-    # mid2[p,m,r] = sum d1[p,u] d1[w,r] Omega[w,u,m]   (1_(1) (x) 1_(1')1_(2) (x) 1_(2'))
-    mid1 = np.zeros((d, d, d), dtype=complex)
-    mid2 = np.zeros((d, d, d), dtype=complex)
-    for (i, j, k), v in zip(A.mult.idx, A.mult.vals):
-        mid1[:, k, :] += v * np.outer(d1[:, i], d1[j, :])
-        mid2[:, k, :] += v * np.outer(d1[:, j], d1[i, :])
+    Om, d1 = A.mult.dense(), A.unit_comult_matrix()
+    d2 = np.tensordot(d1, A.comult.dense(), 1)                       # [p, q, r]
+    # mid1: 1_(1) (x) 1_(2) 1_(1') (x) 1_(2');  mid2: 1_(1) (x) 1_(1') 1_(2) (x) 1_(2')
+    mid1 = np.tensordot(np.tensordot(d1, Om, (1, 0)), d1, (1, 0))
+    mid2 = np.tensordot(np.tensordot(d1, Om, (1, 1)), d1, (1, 0))
     return float(max(np.abs(d2 - mid1).max(), np.abs(d2 - mid2).max()))
 
 
 def _residual_weak_counit(A: AlgebraData) -> float:
     """eps(xyz) = eps(x y_(1)) eps(y_(2) z) = eps(x y_(2)) eps(y_(1) z) on basis triples."""
-    d = A.dim
-    eye = np.eye(d, dtype=complex)
-    eps_xy = np.array([[A.counit_value(A.mult_coeffs(eye[x], eye[y])) for y in range(d)]
-                       for x in range(d)])
-    res = 0.0
-    crow = A.comult.rows()
-    for y in range(d):
-        lhs = np.zeros((d, d), dtype=complex)
-        for x in range(d):
-            lhs[x, :] = np.array([A.counit_value(
-                A.mult_coeffs(A.mult_coeffs(eye[x], eye[y]), eye[z])) for z in range(d)])
-        mid1 = np.zeros((d, d), dtype=complex)
-        mid2 = np.zeros((d, d), dtype=complex)
-        for (a, b, v) in crow[y]:
-            mid1 += v * np.outer(eps_xy[:, a], eps_xy[b, :])
-            mid2 += v * np.outer(eps_xy[:, b], eps_xy[a, :])
-        res = max(res, float(np.abs(lhs - mid1).max()), float(np.abs(lhs - mid2).max()))
-    return res
+    E, Lam = _counit_products(A), A.comult.dense()
+    lhs = A.mult.dense() @ E                       # [x, y, z]: eps((e_x e_y) e_z)
+    mid1 = np.tensordot(E, Lam, (1, 1)) @ E
+    mid2 = np.tensordot(E, Lam, (1, 2)) @ E
+    return float(max(np.abs(lhs - mid1).max(), np.abs(lhs - mid2).max()))
 
 
 def _residual_antipode(A: AlgebraData) -> float:
     """m(S (x) id)Delta(x) = m(id (x) S)Delta(x) = eps(x) 1 on the basis."""
     if A.antipode is None:
         raise AxiomError("antipode", np.inf, "antipode undeclared")
-    d = A.dim
-    eye = np.eye(d, dtype=complex)
-    res = 0.0
-    for x in range(d):
-        two = A.comult_coeffs(eye[x])
-        left = np.zeros(d, dtype=complex)
-        right = np.zeros(d, dtype=complex)
-        for a in range(d):
-            for b in np.nonzero(two[a])[0]:
-                left += two[a, b] * A.mult_coeffs(A.antipode[:, a], eye[b])
-                right += two[a, b] * A.mult_coeffs(eye[a], A.antipode[:, b])
-        target = A.counit[x] * A.unit
-        res = max(res, float(np.abs(left - target).max()), float(np.abs(right - target).max()))
-    return res
+    S, eye = A.antipode, np.eye(A.dim)
+    target = np.outer(A.counit, A.unit)
+    return float(max(np.abs(_convolution(A, S, eye) - target).max(),
+                     np.abs(_convolution(A, eye, S) - target).max()))
 
 
 def _residual_weak_antipode(A: AlgebraData) -> float:
     """S(x_(1)) x_(2) = eps_s(x), x_(1) S(x_(2)) = eps_t(x), S(x_(1)) x_(2) S(x_(3)) = S(x)."""
     if A.antipode is None:
         raise AxiomError("antipode", np.inf, "antipode undeclared")
-    d = A.dim
-    eye = np.eye(d, dtype=complex)
-    res = 0.0
-    for x in range(d):
-        el = A.basis_element(x)
-        eps_s, eps_t = source_target_maps(el)
-        two = A.comult_coeffs(eye[x])
-        left = np.zeros(d, dtype=complex)
-        right = np.zeros(d, dtype=complex)
-        for a, b in zip(*np.nonzero(two)):
-            left += two[a, b] * A.mult_coeffs(A.antipode[:, a], eye[b])
-            right += two[a, b] * A.mult_coeffs(eye[a], A.antipode[:, b])
-        res = max(res, float(np.abs(left - eps_s.coeffs).max()),
-                  float(np.abs(right - eps_t.coeffs).max()))
-        three = A.sweedler_legs(eye[x], 3)
-        acc = np.zeros(d, dtype=complex)
-        for a, b, c in zip(*np.nonzero(three)):
-            acc += three[a, b, c] * A.mult_coeffs(
-                A.mult_coeffs(A.antipode[:, a], eye[b]), A.antipode[:, c])
-        res = max(res, float(np.abs(acc - A.antipode[:, x]).max()))
+    eps_s, eps_t = _source_target(A)
+    S, eye = A.antipode, np.eye(A.dim)
+    Om, Lam = A.mult.dense(), A.comult.dense()
+    res = float(max(np.abs(_convolution(A, S, eye) - eps_s).max(),
+                    np.abs(_convolution(A, eye, S) - eps_t).max()))
+    s_first = np.tensordot(S, Om, (0, 0))          # [a, b, m]: S(e_a) e_b
+    for x in range(A.dim):
+        three = np.tensordot(Lam[x], Lam, (1, 0))  # [a, b, c]: (id (x) Delta) Delta(e_x)
+        pair = np.tensordot(s_first, three, ([0, 1], [0, 1]))     # [m, c]
+        acc = np.tensordot(pair @ S.T, Om, 2)      # (S(x_(1)) x_(2)) S(x_(3))
+        res = max(res, float(np.abs(acc - S[:, x]).max()))
     return res
 
 
@@ -494,23 +390,12 @@ def _residual_star(A: AlgebraData) -> float:
     """Involution, anti-homomorphism, and Delta(x*) = Delta(x)^* (slotwise star)."""
     if A.star is None:
         raise AxiomError("star", np.inf, "star structure undeclared")
-    d = A.dim
-    eye = np.eye(d, dtype=complex)
-    star = lambda c: A.star @ np.conj(c)
-    res = 0.0
-    for x in range(d):
-        res = max(res, float(np.abs(star(star(eye[x])) - eye[x]).max()))
-    for x in range(d):
-        for y in range(d):
-            lhs = star(A.mult_coeffs(eye[x], eye[y]))
-            rhs = A.mult_coeffs(star(eye[y]), star(eye[x]))
-            res = max(res, float(np.abs(lhs - rhs).max()))
-    for x in range(d):
-        lhs = A.comult_coeffs(star(eye[x]))
-        two = A.comult_coeffs(eye[x])
-        rhs = A.star @ np.conj(two) @ A.star.T
-        res = max(res, float(np.abs(lhs - rhs).max()))
-    return res
+    St, Om, Lam = A.star, A.mult.dense(), A.comult.dense()
+    involution = np.abs(St @ St.conj() - np.eye(A.dim)).max()
+    # [x, y, w]: (e_x e_y)* and e_y* e_x*
+    anti = np.abs(Om.conj() @ St.T - np.tensordot(St, np.tensordot(St, Om, (0, 0)), (0, 1))).max()
+    comult = np.abs(np.tensordot(St, Lam, (0, 0)) - St @ Lam.conj() @ St.T).max()
+    return float(max(involution, anti, comult))
 
 
 def _residual_star_rep_exists(A: AlgebraData) -> float:

@@ -336,9 +336,12 @@ def cmd_run(args) -> int:
                                  str(r["alpha"]), str(r["l"])))
         label = q.get("label", q["name"])
         path = out_dir / f"{label}.csv"
+        fields = ["model", "quantity", "x", "t", "alpha", "l", "re", "im"]
+        if args.oracle_check and ts.d_rho == ts.d_v:
+            rows = _with_oracle_dev(ts, config, q, rows, int(args.oracle_check))
+            fields.append("oracle_dev")
         with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["model", "quantity", "x", "t",
-                                                    "alpha", "l", "re", "im"])
+            writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
         manifest["files"].append(str(path.name))
@@ -350,8 +353,6 @@ def cmd_run(args) -> int:
             manifest.setdefault("errors", []).extend(errors)
             for e in errors:
                 print(f"  [{label}] skipped {e['point']}: {e['error']}", file=sys.stderr)
-        if args.oracle_check:
-            _append_oracle_check(ts, config, q, rows, int(args.oracle_check), path)
         print(f"wrote {path} ({len(rows)} rows)")
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
     print(f"wrote {out_dir / 'manifest.json'}")
@@ -361,10 +362,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _append_oracle_check(ts, config, q, rows, L, path):
-    """Append oracle-vs-engine deviation columns for the points that fit densely."""
-    if ts.d_rho != ts.d_v:
-        return
+def _with_oracle_dev(ts, config, q, rows, L):
+    """`rows` with an oracle-vs-engine deviation column, empty for the points
+    that do not fit densely."""
     circ = oracle.DenseCircuit.from_tensor_set(ts, L=L)
     psi0 = _dense_initial_state(circ, config["initial_state"], ts.d_v)
     out_rows = []
@@ -385,11 +385,7 @@ def _append_oracle_check(ts, config, q, rows, L, path):
         except (ValueError, MemoryError):
             dev = ""
         out_rows.append({**row, "oracle_dev": dev})
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["model", "quantity", "x", "t",
-                                                "alpha", "l", "re", "im", "oracle_dev"])
-        writer.writeheader()
-        writer.writerows(out_rows)
+    return out_rows
 
 
 # -- oracle -----------------------------------------------------------------------

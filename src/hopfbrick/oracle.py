@@ -429,18 +429,18 @@ def oracle_quantities(circuit, psi0, t, observables=(), two_points=(), renyis=()
     return out
 
 
-def minimal_period(circuit: DenseCircuit, eta=None, cap_factor=4):
+def minimal_period(circuit: DenseCircuit, eta=None):
     """Smallest integer t with U(t) = phase * identity on the solvable subspace.
 
-    Returns (t, phase).  The search caps at cap_factor * eta * L when eta is
-    given (else 4 * 64 * L).
+    Returns (t, phase).  The search caps at 4 * eta * L when eta is given
+    (else 4 * 64 * L).
     """
     dim = circuit.d ** circuit.n_sites
     U = evolution_matrix(circuit, 1)          # raises MemoryError above DENSE_U_CAP
     basis, D = _subspace_basis_vectors(circuit)
     if basis is None:
         basis = np.eye(dim, dtype=complex)
-    cap = cap_factor * (eta if eta else 64) * circuit.L
+    cap = 4 * (eta if eta else 64) * circuit.L
     M = np.eye(dim, dtype=complex)
     for t in range(1, cap + 1):
         M = U @ M

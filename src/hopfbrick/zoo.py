@@ -15,6 +15,7 @@ from .algebra import AlgebraData, AlgebraSpecError, SparseRank3
 from .representation import Corepresentation, RepPair, Representation
 
 ZETA = float(np.sqrt((np.sqrt(5.0) - 1.0) / 2.0))   # positive root of z^4 + z^2 - 1
+DIM_CAP = 4096      # largest twisted-permutation or xyx extension the builders make
 
 
 class GroupTable:
@@ -252,16 +253,8 @@ def cocycle_gate(G: GroupTable, phase_order: int) -> RepPair:
 # -- twisted-permutation extension (cyclic twist of the group gate) ----------------
 
 
-def twisted_perm_algebra(G: GroupTable, n: int, dim_cap: int = 4096) -> AlgebraData:
-    """The n|G|^n-dimensional extension behind the cyclically permuted gate.
-
-    Basis (k, h_1..h_n); multiplication is diagonal in k and pointwise in h;
-    comultiplication splits k with a cyclic shift of the h-list.
-    """
-    g_order = G.order
-    dim = n * g_order ** n
-    if dim > dim_cap:
-        raise AlgebraSpecError(f"dim {dim} exceeds cap {dim_cap}")
+def _twisted_perm_codec(g_order, n):
+    """pack(k, h_1..h_n) -> basis index of the twisted-permutation extension, and back."""
 
     def pack(k, hs):
         code = k
@@ -275,6 +268,21 @@ def twisted_perm_algebra(G: GroupTable, n: int, dim_cap: int = 4096) -> AlgebraD
             hs.append(code % g_order)
             code //= g_order
         return code, tuple(reversed(hs))
+
+    return pack, unpack
+
+
+def twisted_perm_algebra(G: GroupTable, n: int) -> AlgebraData:
+    """The n|G|^n-dimensional extension behind the cyclically permuted gate.
+
+    Basis (k, h_1..h_n); multiplication is diagonal in k and pointwise in h;
+    comultiplication splits k with a cyclic shift of the h-list.
+    """
+    g_order = G.order
+    dim = n * g_order ** n
+    if dim > DIM_CAP:
+        raise AlgebraSpecError(f"dim {dim} exceeds cap {DIM_CAP}")
+    pack, unpack = _twisted_perm_codec(g_order, n)
 
     mult_idx, mult_val = [], []
     for x in range(dim):
@@ -319,20 +327,7 @@ def twisted_perm_pair(G: GroupTable, rho_mats, gs) -> RepPair:
     d = len(gs)
     n = d                                     # cyclic shift i -> i+1 has order d
     A = twisted_perm_algebra(G, n)
-    g_order = G.order
-
-    def pack(k, hs):
-        code = k
-        for h in hs:
-            code = code * g_order + h
-        return code
-
-    def unpack(code):
-        hs = []
-        for _ in range(n):
-            hs.append(code % g_order)
-            code //= g_order
-        return code, tuple(reversed(hs))
+    pack, unpack = _twisted_perm_codec(G.order, n)
 
     dr = np.asarray(rho_mats[0]).shape[0]
     mats = np.zeros((A.dim, dr, dr), dtype=complex)
@@ -394,17 +389,20 @@ def twisted_perm_tensor_table(G: GroupTable, rho_mats, gs):
 # -- conjugation ("xyx") extension --------------------------------------------------
 
 
-def xyx_algebra(G: GroupTable, dim_cap: int = 4096) -> AlgebraData:
+def _xyx_pack(ng):
+    """pack(a, g, s) -> basis index of the xyx extension."""
+    return lambda a, g, s: (a * ng + g) * 2 + s
+
+
+def xyx_algebra(G: GroupTable) -> AlgebraData:
     """The 2|G|^2-dimensional extension behind the deterministic gate
     U|h,g> = |gh^-1, gh^-1g^-1>.  Basis (a, g, s) with a,g in G, s in {0,1}.
     """
     ng = G.order
     dim = 2 * ng * ng
-    if dim > dim_cap:
-        raise AlgebraSpecError(f"dim {dim} exceeds cap {dim_cap}")
-
-    def pack(a, g, s):
-        return (a * ng + g) * 2 + s
+    if dim > DIM_CAP:
+        raise AlgebraSpecError(f"dim {dim} exceeds cap {DIM_CAP}")
+    pack = _xyx_pack(ng)
 
     mult_idx, mult_val = [], []
     for a in range(ng):
@@ -460,9 +458,7 @@ def xyx_pair(G: GroupTable) -> RepPair:
     """Canonical RepPair for the xyx extension (both legs |G|-dimensional)."""
     A = xyx_algebra(G)
     ng = G.order
-
-    def pack(a, g, s):
-        return (a * ng + g) * 2 + s
+    pack = _xyx_pack(ng)
 
     mats = np.zeros((A.dim, ng, ng), dtype=complex)
     for a in range(ng):

@@ -197,6 +197,7 @@ def test_run_oracle_check_columns(tmp_path, capsys):
         "quantities": [
             {"name": "expectation", "O": "e1", "label": "q", "t": [0.5, 1.0]},
         ],
+        "json_mirror": True,
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -207,6 +208,9 @@ def test_run_oracle_check_columns(tmp_path, capsys):
     assert rows[0].endswith("oracle_dev")
     devs = [float(r.split(",")[-1]) for r in rows[1:]]
     assert max(devs) < 1e-10
+    # the JSON mirror carries the same column
+    mirror = json.loads((tmp_path / "o" / "q.json").read_text())
+    assert [float(r["oracle_dev"]) for r in mirror] == devs
 
 
 def test_revival_command(capsys):
@@ -261,9 +265,11 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "unused.json").exists()
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is a test-only dependency: the library must not import it
-    code = "import sys, hopfbrick.cli; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+def test_cli_import_leaves_module_out(module):
+    # scipy is a test-only dependency: the library must not import it;
+    # jsonschema is imported only when load_algebra reads a spec
+    code = f"import sys, hopfbrick.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
