@@ -8,8 +8,9 @@ transfer matrices, projectors) is built from these arrays.
 
 Axioms are organized in tiers ("algebra" up to "cstar-weak-hopf"); every tier
 check returns named max-norm residuals so that a failing identity can be
-pinpointed.  Structure constants are stored sparse (COO triples); the checks
-contract their dense dim^3 arrays, built once per algebra.
+pinpointed.  Structure constants are stored dense, as read-only (dim, dim, dim)
+arrays; `structure_tensor` builds one from COO triples, the form of the JSON
+spec and of the zoo builders, and every check is a contraction of them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 TOL_ALG = 1e-10
+MAX_DIM = 256       # 2^24 entries (268 MB) per dense structure tensor
 
 #: axiom tiers and their prerequisite chains, weakest first
 TIERS = (
@@ -106,37 +108,21 @@ def tier_chain(tier):
     return seen
 
 
-class SparseRank3:
-    """Rank-3 complex tensor stored as COO triples, densified on demand."""
-
-    def __init__(self, dim, idx, vals):
-        self.dim = dim
-        idx = np.asarray(idx, dtype=np.int64).reshape(-1, 3)
-        vals = np.asarray(vals, dtype=complex).reshape(-1)
-        if idx.shape[0] != vals.shape[0]:
-            raise AlgebraSpecError("index/value length mismatch in rank-3 tensor")
-        if idx.size and (idx.min() < 0 or idx.max() >= dim):
-            raise AlgebraSpecError("basis index out of range in rank-3 tensor")
-        order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-        self.idx = idx[order]
-        self.vals = vals[order]
-        self._dense = None
-
-    @classmethod
-    def from_dict(cls, dim, entries):
-        items = sorted(entries.items())
-        idx = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 3)
-        vals = np.array([v for _, v in items], dtype=complex)
-        return cls(dim, idx, vals)
-
-    def dense(self):
-        if self._dense is None:
-            d = self.dim
-            out = np.zeros((d, d, d), dtype=complex)
-            np.add.at(out, tuple(self.idx.T), self.vals)
-            out.setflags(write=False)          # shared by every check and caller
-            self._dense = out
-        return self._dense
+def structure_tensor(dim, idx, vals) -> np.ndarray:
+    """The dense (dim, dim, dim) tensor of the COO triples `idx` with values
+    `vals`; repeated triples add.  A dim over MAX_DIM is refused before
+    anything is allocated."""
+    if dim > MAX_DIM:
+        raise AlgebraSpecError(f"dim {dim} exceeds cap {MAX_DIM}")
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1, 3)
+    vals = np.asarray(vals, dtype=complex).reshape(-1)
+    if idx.shape[0] != vals.shape[0]:
+        raise AlgebraSpecError("index/value length mismatch in rank-3 tensor")
+    if idx.size and (idx.min() < 0 or idx.max() >= dim):
+        raise AlgebraSpecError("basis index out of range in rank-3 tensor")
+    out = np.zeros((dim, dim, dim), dtype=complex)
+    np.add.at(out, tuple(idx.T), vals)
+    return out
 
 
 @dataclass
@@ -145,8 +131,8 @@ class AlgebraData:
 
     dim: int
     basis_labels: list
-    mult: SparseRank3            # Omega[x,y,z]: coeff of z in x*y
-    comult: SparseRank3          # Lambda[z,x,y]: coeff of x (x) y in Delta(z)
+    mult: np.ndarray             # Omega[x,y,z]: coeff of z in x*y
+    comult: np.ndarray           # Lambda[z,x,y]: coeff of x (x) y in Delta(z)
     unit: np.ndarray             # coefficients of 1 in the basis
     counit: np.ndarray           # values of eps on the basis
     antipode: np.ndarray | None = None   # S matrix: coeffs of S(e_y) in column y
@@ -156,6 +142,12 @@ class AlgebraData:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        for key in ("mult", "comult"):
+            t = np.ascontiguousarray(getattr(self, key), dtype=complex)
+            if t.shape != (self.dim,) * 3:
+                raise AlgebraSpecError(f"{key}: expected shape {(self.dim,) * 3}, got {t.shape}")
+            t.setflags(write=False)        # shared by every check and caller
+            setattr(self, key, t)
         self.unit = np.asarray(self.unit, dtype=complex).reshape(self.dim)
         self.counit = np.asarray(self.counit, dtype=complex).reshape(self.dim)
         if self.antipode is not None:
@@ -180,17 +172,11 @@ class AlgebraData:
 
     def mult_coeffs(self, xc, yc):
         """Coefficients of x*y given coefficient vectors."""
-        out = np.zeros(self.dim, dtype=complex)
-        i, j, k = self.mult.idx.T
-        np.add.at(out, k, self.mult.vals * xc[i] * yc[j])
-        return out
+        return yc @ np.tensordot(xc, self.mult, 1)
 
     def comult_coeffs(self, xc):
         """Matrix M with Delta(x) = sum_{ab} M[a,b] e_a (x) e_b."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        z, a, b = self.comult.idx.T
-        np.add.at(out, (a, b), self.comult.vals * xc[z])
-        return out
+        return np.tensordot(xc, self.comult, 1)
 
     def counit_value(self, xc):
         return complex(self.counit @ xc)
@@ -207,7 +193,7 @@ class AlgebraData:
 
     def left_mult_matrix(self, i):
         """Matrix L_i with (e_i * y)-coeffs = L_i @ y-coeffs."""
-        return self.mult.dense()[i].T
+        return self.mult[i].T
 
     def unit_comult_matrix(self):
         """Delta(1) as a dim x dim coefficient matrix."""
@@ -274,7 +260,7 @@ def source_target_maps(x: AlgebraElement):
 
 def _counit_products(A: AlgebraData) -> np.ndarray:
     """E[x, y] = eps(e_x e_y)."""
-    return A.mult.dense() @ A.counit
+    return A.mult @ A.counit
 
 
 def _source_target(A: AlgebraData):
@@ -289,25 +275,25 @@ def _source_target(A: AlgebraData):
 
 def _convolution(A: AlgebraData, X, Y) -> np.ndarray:
     """Row x holds m(X (x) Y) Delta(e_x) for the linear maps with matrices X, Y."""
-    return np.tensordot(X @ A.comult.dense() @ Y.T, A.mult.dense(), 2)
+    return np.tensordot(X @ A.comult @ Y.T, A.mult, 2)
 
 
 def _residual_associativity(A: AlgebraData) -> float:
-    Om = A.mult.dense()
+    Om = A.mult
     # [y, z, w]: coefficient w of (e_x e_y) e_z, resp. e_x (e_y e_z)
     return max(float(np.abs(np.tensordot(Om[x], Om, 1) - Om @ Om[x]).max())
                for x in range(A.dim))
 
 
 def _residual_unitality(A: AlgebraData) -> float:
-    Om, eye = A.mult.dense(), np.eye(A.dim)
+    Om, eye = A.mult, np.eye(A.dim)
     left = np.tensordot(A.unit, Om, 1)             # [x, z]: 1 e_x
     right = np.tensordot(Om, A.unit, (1, 0))       # [x, z]: e_x 1
     return float(max(np.abs(left - eye).max(), np.abs(right - eye).max()))
 
 
 def _residual_coassociativity(A: AlgebraData) -> float:
-    Lam = A.comult.dense()
+    Lam = A.comult
     # (Delta (x) id) Delta(e_z) as [c, a, b], (id (x) Delta) Delta(e_z) as [a, b, c]
     return max(float(np.abs(np.tensordot(Lam[z], Lam, (0, 0)).transpose(1, 2, 0)
                             - np.tensordot(Lam[z], Lam, (1, 0))).max())
@@ -315,14 +301,14 @@ def _residual_coassociativity(A: AlgebraData) -> float:
 
 
 def _residual_counitality(A: AlgebraData) -> float:
-    Lam, eye = A.comult.dense(), np.eye(A.dim)
+    Lam, eye = A.comult, np.eye(A.dim)
     left = np.tensordot(A.counit, Lam, (0, 1))     # (eps (x) id) Delta(e_z)
     right = Lam @ A.counit                         # (id (x) eps) Delta(e_z)
     return float(max(np.abs(left - eye).max(), np.abs(right - eye).max()))
 
 
 def _residual_delta_multiplicative(A: AlgebraData) -> float:
-    Om, Lam = A.mult.dense(), A.comult.dense()
+    Om, Lam = A.mult, A.comult
     res = 0.0
     for x in range(A.dim):
         lhs = np.tensordot(Om[x], Lam, 1)          # [y, a, b]: Delta(e_x e_y)
@@ -341,8 +327,8 @@ def _residual_bialgebra_unit_counit(A: AlgebraData) -> float:
 
 def _residual_weak_unit(A: AlgebraData) -> float:
     """Delta^2(1) = [1 (x) Delta(1)][Delta(1) (x) 1] = [Delta(1) (x) 1][1 (x) Delta(1)]."""
-    Om, d1 = A.mult.dense(), A.unit_comult_matrix()
-    d2 = np.tensordot(d1, A.comult.dense(), 1)                       # [p, q, r]
+    Om, d1 = A.mult, A.unit_comult_matrix()
+    d2 = np.tensordot(d1, A.comult, 1)                       # [p, q, r]
     # mid1: 1_(1) (x) 1_(2) 1_(1') (x) 1_(2');  mid2: 1_(1) (x) 1_(1') 1_(2) (x) 1_(2')
     mid1 = np.tensordot(np.tensordot(d1, Om, (1, 0)), d1, (1, 0))
     mid2 = np.tensordot(np.tensordot(d1, Om, (1, 1)), d1, (1, 0))
@@ -351,8 +337,8 @@ def _residual_weak_unit(A: AlgebraData) -> float:
 
 def _residual_weak_counit(A: AlgebraData) -> float:
     """eps(xyz) = eps(x y_(1)) eps(y_(2) z) = eps(x y_(2)) eps(y_(1) z) on basis triples."""
-    E, Lam = _counit_products(A), A.comult.dense()
-    lhs = A.mult.dense() @ E                       # [x, y, z]: eps((e_x e_y) e_z)
+    E, Lam = _counit_products(A), A.comult
+    lhs = A.mult @ E                       # [x, y, z]: eps((e_x e_y) e_z)
     mid1 = np.tensordot(E, Lam, (1, 1)) @ E
     mid2 = np.tensordot(E, Lam, (1, 2)) @ E
     return float(max(np.abs(lhs - mid1).max(), np.abs(lhs - mid2).max()))
@@ -374,7 +360,7 @@ def _residual_weak_antipode(A: AlgebraData) -> float:
         raise AxiomError("antipode", np.inf, "antipode undeclared")
     eps_s, eps_t = _source_target(A)
     S, eye = A.antipode, np.eye(A.dim)
-    Om, Lam = A.mult.dense(), A.comult.dense()
+    Om, Lam = A.mult, A.comult
     res = float(max(np.abs(_convolution(A, S, eye) - eps_s).max(),
                     np.abs(_convolution(A, eye, S) - eps_t).max()))
     s_first = np.tensordot(S, Om, (0, 0))          # [a, b, m]: S(e_a) e_b
@@ -390,7 +376,7 @@ def _residual_star(A: AlgebraData) -> float:
     """Involution, anti-homomorphism, and Delta(x*) = Delta(x)^* (slotwise star)."""
     if A.star is None:
         raise AxiomError("star", np.inf, "star structure undeclared")
-    St, Om, Lam = A.star, A.mult.dense(), A.comult.dense()
+    St, Om, Lam = A.star, A.mult, A.comult
     involution = np.abs(St @ St.conj() - np.eye(A.dim)).max()
     # [x, y, w]: (e_x e_y)* and e_y* e_x*
     anti = np.abs(Om.conj() @ St.T - np.tensordot(St, np.tensordot(St, Om, (0, 0)), (0, 1))).max()
@@ -473,9 +459,6 @@ def dual_algebra(A: AlgebraData) -> AlgebraData:
     """
     if A.tier in ("algebra", "coalgebra"):
         raise AxiomError("tier", np.inf, "dual needs at least prebialgebra tier")
-    d = A.dim
-    mult_idx = A.comult.idx[:, [1, 2, 0]]      # Omega*[x,y,z] = Lambda[z,x,y]
-    comult_idx = A.mult.idx[:, [2, 0, 1]]      # Lambda*[z,x,y] = Omega[x,y,z]
     antipode = None
     star = None
     if A.antipode is not None:
@@ -484,10 +467,10 @@ def dual_algebra(A: AlgebraData) -> AlgebraData:
             star = (np.conj(A.star) @ A.antipode).T.copy()
     labels = [f"d({lbl})" for lbl in A.basis_labels]
     return AlgebraData(
-        dim=d,
+        dim=A.dim,
         basis_labels=labels,
-        mult=SparseRank3(d, mult_idx, A.comult.vals.copy()),
-        comult=SparseRank3(d, comult_idx, A.mult.vals.copy()),
+        mult=A.comult.transpose(1, 2, 0),      # Omega*[x,y,z] = Lambda[z,x,y]
+        comult=A.mult.transpose(2, 0, 1),      # Lambda*[z,x,y] = Omega[x,y,z]
         unit=A.counit.copy(),
         counit=A.unit.copy(),
         antipode=antipode,
@@ -505,14 +488,8 @@ def _ce_product(A: AlgebraData, X, Y):
 
     (X Y)[r,s] = sum X[x,y] Y[z,w] Omega[x,z,r] Lambda[s,y,w].
     """
-    d = A.dim
-    mid = np.zeros((d, d, d), dtype=complex)   # mid[r,y,w] = sum_{x,z} X[x,y] Omega[x,z,r] Y[z,w]
-    for (x, z, r), v in zip(A.mult.idx, A.mult.vals):
-        mid[r] += v * np.outer(X[x], Y[z])
-    out = np.zeros((d, d), dtype=complex)
-    for (s, y, w), v in zip(A.comult.idx, A.comult.vals):
-        out[:, s] += v * mid[:, y, w]
-    return out
+    mid = np.tensordot(X, np.tensordot(A.mult, Y, (1, 0)), (0, 0))   # [y, r, w]
+    return np.tensordot(mid, A.comult, ([0, 2], [1, 2]))
 
 
 def canonical_unit(A: AlgebraData) -> np.ndarray:
@@ -602,18 +579,20 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _coo_rows(T) -> list:
+    """The nonzeros of a structure tensor as spec rows, in C order."""
+    return [[int(i), int(j), int(k), _fmt(T[i, j, k].real), _fmt(T[i, j, k].imag)]
+            for i, j, k in np.argwhere(T != 0)]
+
+
 def algebra_to_dict(A: AlgebraData, reps=None, coreps=None) -> dict:
     doc = {
         "dim": A.dim,
         "basis": list(A.basis_labels),
         "tier": A.tier,
         "name": A.name,
-        "mult": [[i, j, k, _fmt(re), _fmt(im)]
-                 for i, j, k, re, im in ((int(a), int(b), int(c), v.real, v.imag)
-                                         for (a, b, c), v in zip(A.mult.idx, A.mult.vals))],
-        "comult": [[i, j, k, _fmt(re), _fmt(im)]
-                   for i, j, k, re, im in ((int(a), int(b), int(c), v.real, v.imag)
-                                           for (a, b, c), v in zip(A.comult.idx, A.comult.vals))],
+        "mult": _coo_rows(A.mult),
+        "comult": _coo_rows(A.comult),
         "unit": [[_fmt(v.real), _fmt(v.imag)] for v in A.unit],
         "counit": [[_fmt(v.real), _fmt(v.imag)] for v in A.counit],
     }
@@ -663,9 +642,9 @@ def load_algebra(source, tol=TOL_ALG) -> AlgebraData:
                 raise AlgebraSpecError(f"{what}: index ({i},{j},{k}) out of range for dim {d}")
             idx.append((i, j, k))
             vals.append(_num(row[3]) + 1j * _num(row[4]))
-        return SparseRank3(d, np.array(idx, dtype=np.int64).reshape(-1, 3),
-                           np.array(vals, dtype=complex))
+        return structure_tensor(d, idx, vals)
 
+    mult, comult = coo(doc["mult"], "mult"), coo(doc["comult"], "comult")   # dim cap first
     antipode = None
     if "antipode" in doc:
         antipode = _complex_array(doc["antipode"], d * d, "antipode").reshape(d, d)
@@ -676,8 +655,8 @@ def load_algebra(source, tol=TOL_ALG) -> AlgebraData:
     A = AlgebraData(
         dim=d,
         basis_labels=list(doc["basis"]),
-        mult=coo(doc["mult"], "mult"),
-        comult=coo(doc["comult"], "comult"),
+        mult=mult,
+        comult=comult,
         unit=_complex_array(doc["unit"], d, "unit"),
         counit=_complex_array(doc["counit"], d, "counit"),
         antipode=antipode,

@@ -14,11 +14,12 @@ hash, library version, and tolerances, sufficient to re-run the batch.
 Exit codes: 0 success; 1 a check failed (verify), the initial state is
 outside the solvable subspace or a point was skipped (run, after every CSV
 and the manifest are written; a non-finite value or a numeric error skips
-its point); 2 unreadable or invalid input: an unknown or
-malformed model, state or operator (every subcommand; one error line, no
-traceback), a malformed quantity entry, an empty grid or one of more than
-GRID_POINTS_MAX points (run, before any CSV is written) or, for oracle, a
-ring over the amplitude cap.
+its point); 2 unreadable or invalid input: an unknown or malformed model
+(a spec over the dim cap included), state or operator, or a config value of
+the wrong JSON type (every subcommand; one error line, no traceback; `run`
+checks operators per point), a malformed quantity entry, an empty grid or
+one of more than GRID_POINTS_MAX points (run, before any CSV is written) or,
+for oracle, a ring over the amplitude cap.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ def _fmt(x: float) -> str:
 
 def _load_model(name: str, tol=TOL_ALG):
     """Resolve 'zoo:<name>' or a JSON algebra-spec path into a RepPair."""
+    if not isinstance(name, str):
+        raise AlgebraSpecError(f"model {name!r} is not a 'zoo:<name>' or spec path string")
     if name.startswith("zoo:"):
         if name[4:] not in zoo.MODELS:
             raise AlgebraSpecError(f"unknown zoo model {name[4:]!r}; have {sorted(zoo.MODELS)}")
@@ -97,8 +100,15 @@ def _single_site_operator(spec, d):
             out[j, k] = 1.0
             return out
         raise ValueError(f"unknown operator name {spec!r}")
-    arr = np.asarray(spec, dtype=complex)
-    return arr.reshape(d, d)
+    return _numeric(spec, (d, d), "operator")
+
+
+def _numeric(spec, shape, what):
+    """`spec` as a complex array of `shape`; ValueError if it is not one."""
+    try:
+        return np.asarray(spec, dtype=complex).reshape(shape)
+    except TypeError:
+        raise ValueError(f"{what} {spec!r} is not a numeric array") from None
 
 
 def _site_vector(spec, d):
@@ -109,13 +119,16 @@ def _site_vector(spec, d):
         out = np.zeros(d)
         out[_site_index(spec, d)] = 1.0
         return out
-    return np.asarray(spec, dtype=complex)
+    return _numeric(spec, -1, "site vector")
 
 
 def _initial_state(spec, d):
-    """Product state from a site-label string like '33' or '+,+'."""
-    if isinstance(spec, dict):
+    """Product state from a site-label string like '33' or '+,+', or from
+    {"rho": ..., "v": ...} site labels or vectors."""
+    if isinstance(spec, dict) and {"rho", "v"} <= spec.keys():
         return mpo.MPSState.product(_site_vector(spec["rho"], d), _site_vector(spec["v"], d))
+    if not isinstance(spec, str):
+        raise ValueError(f"initial state {spec!r} is not a label string or a {{rho, v}} object")
     labels = spec.split(",") if "," in spec else list(spec)
     if len(labels) == 1:
         labels = labels * 2

@@ -16,6 +16,8 @@ import numpy as np
 
 from .algebra import AlgebraData, AxiomError, TOL_ALG, dual_algebra
 
+TENSOR_POWER_ENTRY_CAP = 10 ** 6   # matrix entries a tensor power may hold
+
 
 @dataclass
 class Representation:
@@ -81,7 +83,7 @@ class RepPair:
 def check_representation(rho: Representation, tol=TOL_ALG) -> dict:
     """Max residuals of rho(1) = id, rho(x)rho(y) = rho(xy), and the star law."""
     A = rho.algebra
-    Om, m = A.mult.dense(), rho.matrices
+    Om, m = A.mult, rho.matrices
     report = {"unit": float(np.abs(rho.apply(A.unit) - np.eye(rho.dim)).max())}
     # [y]: rho(e_x) rho(e_y) against rho(e_x e_y), one x at a time
     report["homomorphism"] = max(float(np.abs(m[x] @ m - np.tensordot(Om[x], m, 1)).max())
@@ -99,7 +101,7 @@ def check_representation(rho: Representation, tol=TOL_ALG) -> dict:
 def check_corepresentation(v: Corepresentation, tol=TOL_ALG) -> dict:
     """Max residuals of Delta(v_ij) = sum_k v_ik (x) v_kj, eps(v_ij) = delta_ij."""
     A = v.algebra
-    Lam, e = A.comult.dense(), v.entries
+    Lam, e = A.comult, v.entries
     # [j, a, b]: Delta(v_ij) against sum_k v_ik (x) v_kj, one row i at a time
     coaction = max(float(np.abs(np.tensordot(e[i], Lam, 1)
                                 - np.einsum("ka,kjb->jab", e[i], e)).max())
@@ -118,20 +120,12 @@ def check_corepresentation(v: Corepresentation, tol=TOL_ALG) -> dict:
 
 def regular_representation(A: AlgebraData) -> Representation:
     """[rho(x)]_{zy} = Omega[x,y,z] (left multiplication in the basis)."""
-    d = A.dim
-    mats = np.zeros((d, d, d), dtype=complex)
-    for (x, y, z), val in zip(A.mult.idx, A.mult.vals):
-        mats[x, z, y] += val
-    return Representation(A, mats)
+    return Representation(A, A.mult.transpose(0, 2, 1).copy())
 
 
 def regular_corepresentation(A: AlgebraData) -> Corepresentation:
     """v_{xz} = sum_y Lambda[z,x,y] e_y."""
-    d = A.dim
-    entries = np.zeros((d, d, d), dtype=complex)
-    for (z, x, y), val in zip(A.comult.idx, A.comult.vals):
-        entries[x, z, y] += val
-    return Corepresentation(A, entries)
+    return Corepresentation(A, A.comult.transpose(1, 0, 2).copy())
 
 
 def rep_to_dual_corep(rho: Representation) -> Corepresentation:
@@ -148,25 +142,27 @@ def corep_to_dual_rep(v: Corepresentation) -> Representation:
     return Representation(dual, mats, star=v.unitary and dual.star is not None)
 
 
-def tensor_power_rep(rho: Representation, n: int, entry_cap: int = 10 ** 6) -> Representation:
+def _kron_sum(T, first, second) -> np.ndarray:
+    """out[x] = sum_pq T[x,p,q] kron(first[p], second[q])."""
+    out = np.einsum("xpq,pab,qcd->xacbd", T, first, second, optimize=True)
+    n = first.shape[1] * second.shape[1]
+    return out.reshape(T.shape[0], n, n)
+
+
+def tensor_power_rep(rho: Representation, n: int) -> Representation:
     """rho^(n)(x) = (rho (x) ... (x) rho) Delta^(n-1)(x), first Sweedler leg first."""
     if n < 1:
         raise ValueError("n must be >= 1")
     A = rho.algebra
-    if (rho.dim ** n) ** 2 > entry_cap:
+    if (rho.dim ** n) ** 2 > TENSOR_POWER_ENTRY_CAP:
         raise MemoryError(f"tensor power dim {rho.dim ** n} exceeds entry cap")
     if n == 1:
         return Representation(A, rho.matrices.copy(), star=rho.star)
-    lower = tensor_power_rep(rho, n - 1, entry_cap)
-    d = A.dim
-    dn = rho.dim ** (n - 1)
-    mats = np.zeros((d, rho.dim * dn, rho.dim * dn), dtype=complex)
-    for (x, p, q), val in zip(A.comult.idx, A.comult.vals):
-        mats[x] += val * np.kron(rho.matrices[p], lower.matrices[q])
-    return Representation(A, mats, star=rho.star)
+    lower = tensor_power_rep(rho, n - 1).matrices
+    return Representation(A, _kron_sum(A.comult, rho.matrices, lower), star=rho.star)
 
 
-def tensor_power_corep(v: Corepresentation, n: int, entry_cap: int = 10 ** 6) -> Representation:
+def tensor_power_corep(v: Corepresentation, n: int) -> Representation:
     """The n-fold power of v as a representation of A*.
 
     Returns matrices W[x] with W[x][(i1..in),(j1..jn)] = delta_x(v_{i_n j_n} ... v_{i_1 j_1}),
@@ -176,18 +172,14 @@ def tensor_power_corep(v: Corepresentation, n: int, entry_cap: int = 10 ** 6) ->
     if n < 1:
         raise ValueError("n must be >= 1")
     A = v.algebra
-    if (v.dim ** n) ** 2 > entry_cap:
+    if (v.dim ** n) ** 2 > TENSOR_POWER_ENTRY_CAP:
         raise MemoryError(f"tensor power dim {v.dim ** n} exceeds entry cap")
     base = np.transpose(v.entries, (2, 0, 1))          # [x][i,j] = coeff x of v_ij
     if n == 1:
         return Representation(dual_algebra(A), base.copy())
-    lower = tensor_power_corep(v, n - 1, entry_cap).matrices
-    d = A.dim
-    mats = np.zeros((d, v.dim ** n, v.dim ** n), dtype=complex)
+    lower = tensor_power_corep(v, n - 1).matrices
     # delta_x(B * v_{i1 j1}) = sum Omega[z,w,x] B-part(delta_z) v-part(delta_w)
-    for (z, w, x), val in zip(A.mult.idx, A.mult.vals):
-        mats[x] += val * np.kron(base[w], lower[z])
-    return Representation(dual_algebra(A), mats)
+    return Representation(dual_algebra(A), _kron_sum(A.mult.transpose(2, 1, 0), base, lower))
 
 
 @dataclass

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import AxiomError, TOL_ALG, tier_chain
+from .algebra import AxiomError, TOL_ALG, _ce_product, _counit_products, tier_chain
 from .representation import RepPair, check_corepresentation, check_representation
 
 SINGULAR_ZERO = 1e-8   # singular values below this are exact zeros of a weak gate
@@ -97,20 +97,12 @@ def build_tensors(pair: RepPair, tol=TOL_ALG) -> SolvableTensorSet:
     """Construct the gate / rho / v / primed tensors and verify the identities:
     every residual within `tol`, the bialgebra-* ones unless the model is weak."""
     A = pair.algebra
-    d = A.dim
-    dr, dv = pair.rho.dim, pair.v.dim
+    Om, Lam = A.mult, A.comult
     mats, entries = pair.rho.matrices, pair.v.entries
-
-    R = np.zeros((dr, dr, d, d), dtype=complex)
-    Rp = np.zeros((dr, dr, d, d), dtype=complex)
-    for (x, p, q), val in zip(A.comult.idx, A.comult.vals):
-        R[:, :, x, p] += val * mats[q]
-        Rp[:, :, x, q] += val * mats[p]
-    V = np.zeros((dv, dv, d, d), dtype=complex)
-    Vp = np.zeros((dv, dv, d, d), dtype=complex)
-    for (x, z, y), val in zip(A.mult.idx, A.mult.vals):
-        V[:, :, x, y] += val * entries[:, :, z]
-        Vp[:, :, z, y] += val * entries[:, :, x]
+    R = np.einsum("xpq,qab->abxp", Lam, mats, order="C")
+    Rp = np.einsum("xpq,pab->abxq", Lam, mats, order="C")
+    V = np.einsum("xzy,ijz->ijxy", Om, entries, order="C")
+    Vp = np.einsum("xzy,ijx->ijzy", Om, entries, order="C")
 
     ts = SolvableTensorSet(
         pair=pair,
@@ -248,10 +240,7 @@ def build_projectors(pair: RepPair, tol=TOL_ALG) -> ProjectorPair:
         raise AxiomError("tier", np.inf, "projectors need (weak) Hopf tier with star")
     if A.star is None:
         raise AxiomError("star", np.inf, "projectors need a star structure")
-    d = A.dim
-    from .algebra import _ce_product
-
-    c = np.eye(d, dtype=complex)               # canonical element coefficients
+    c = np.eye(A.dim, dtype=complex)           # canonical element coefficients
     star_dual = _dual_star_matrix(A)
     # c* = sum_x x* (x) (delta_x)*
     c_star = np.einsum("yx,wx->yw", A.star, star_dual)
@@ -267,9 +256,7 @@ def build_projectors(pair: RepPair, tol=TOL_ALG) -> ProjectorPair:
     residuals = {}
     # direct Sweedler-form cross-check: [P]^{ia}_{jb} = eps(1_(1) v_ij) rho_ab(1_(2))
     d1 = A.unit_comult_matrix()
-    eps_pair = np.zeros((d, d), dtype=complex)   # eps(e_i e_j)
-    for (i, j, k), val in zip(A.mult.idx, A.mult.vals):
-        eps_pair[i, j] += val * A.counit[k]
+    eps_pair = _counit_products(A)               # eps(e_i e_j)
     P_direct = np.einsum("pq,ps,ijs,qab->iajb", d1, eps_pair, entries, mats).reshape(dv * dr, dv * dr)
     Q_direct = np.einsum("pq,ijs,sq,pab->aibj", d1, entries, eps_pair, mats).reshape(dr * dv, dr * dv)
     residuals["P-direct-form"] = float(np.abs(P - P_direct).max())

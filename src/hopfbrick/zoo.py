@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraData, AlgebraSpecError, SparseRank3
+from .algebra import MAX_DIM, AlgebraData, AlgebraSpecError, structure_tensor
 from .representation import Corepresentation, RepPair, Representation
 
 ZETA = float(np.sqrt((np.sqrt(5.0) - 1.0) / 2.0))   # positive root of z^4 + z^2 - 1
-DIM_CAP = 4096      # largest twisted-permutation or xyx extension the builders make
 
 
 class GroupTable:
@@ -145,8 +144,8 @@ def group_algebra(G: GroupTable) -> AlgebraData:
     return AlgebraData(
         dim=n,
         basis_labels=list(G.labels),
-        mult=SparseRank3(n, mult_idx, np.ones(len(mult_idx))),
-        comult=SparseRank3(n, comult_idx, np.ones(n)),
+        mult=structure_tensor(n, mult_idx, np.ones(len(mult_idx))),
+        comult=structure_tensor(n, comult_idx, np.ones(n)),
         unit=unit,
         counit=np.ones(n, dtype=complex),
         antipode=perm,
@@ -280,8 +279,8 @@ def twisted_perm_algebra(G: GroupTable, n: int) -> AlgebraData:
     """
     g_order = G.order
     dim = n * g_order ** n
-    if dim > DIM_CAP:
-        raise AlgebraSpecError(f"dim {dim} exceeds cap {DIM_CAP}")
+    if dim > MAX_DIM:         # before the O(dim^2) loops below
+        raise AlgebraSpecError(f"dim {dim} exceeds cap {MAX_DIM}")
     pack, unpack = _twisted_perm_codec(g_order, n)
 
     mult_idx, mult_val = [], []
@@ -316,8 +315,8 @@ def twisted_perm_algebra(G: GroupTable, n: int) -> AlgebraData:
         antipode[pack((-k) % n, s_hs), x] = 1.0
         star[pack(k, tuple(G.inv(h) for h in hs)), x] = 1.0
     labels = [f"({unpack(x)[0]};{','.join(str(h) for h in unpack(x)[1])})" for x in range(dim)]
-    return AlgebraData(dim, labels, SparseRank3(dim, mult_idx, mult_val),
-                       SparseRank3(dim, comult_idx, comult_val), unit, counit,
+    return AlgebraData(dim, labels, structure_tensor(dim, mult_idx, mult_val),
+                       structure_tensor(dim, comult_idx, comult_val), unit, counit,
                        antipode=antipode, star=star, tier="cstar-hopf",
                        name=f"Z{n}-twist[{G.name}]")
 
@@ -400,8 +399,8 @@ def xyx_algebra(G: GroupTable) -> AlgebraData:
     """
     ng = G.order
     dim = 2 * ng * ng
-    if dim > DIM_CAP:
-        raise AlgebraSpecError(f"dim {dim} exceeds cap {DIM_CAP}")
+    if dim > MAX_DIM:         # before the O(dim^2) loops below
+        raise AlgebraSpecError(f"dim {dim} exceeds cap {MAX_DIM}")
     pack = _xyx_pack(ng)
 
     mult_idx, mult_val = [], []
@@ -448,8 +447,8 @@ def xyx_algebra(G: GroupTable) -> AlgebraData:
                 conj_star = G.mul(G.mul(a, g12s), G.inv(a))
                 star[pack(G.inv(a), conj_star, s), x] = 1.0
     labels = [f"({a},{g},{s})" for a in range(ng) for g in range(ng) for s in range(2)]
-    return AlgebraData(dim, labels, SparseRank3(dim, mult_idx, mult_val),
-                       SparseRank3(dim, comult_idx, comult_val), unit, counit,
+    return AlgebraData(dim, labels, structure_tensor(dim, mult_idx, mult_val),
+                       structure_tensor(dim, comult_idx, comult_val), unit, counit,
                        antipode=antipode, star=star, tier="cstar-hopf",
                        name=f"xyx[{G.name}]")
 
@@ -532,21 +531,10 @@ def fibonacci_wha() -> AlgebraData:
     dim = 13
     labels = [f"e1_{i}{j}" for i in (1, 2) for j in (1, 2)] + \
              [f"e2_{k}{l}" for k in (1, 2, 3) for l in (1, 2, 3)]
-    mult_entries = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            for k in (1, 2):
-                for l in (1, 2):
-                    if j == k:
-                        key = (_fib_index(1, i, j), _fib_index(1, k, l), _fib_index(1, i, l))
-                        mult_entries[key] = mult_entries.get(key, 0) + 1.0
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                for l in (1, 2, 3):
-                    if j == k:
-                        key = (_fib_index(2, i, j), _fib_index(2, k, l), _fib_index(2, i, l))
-                        mult_entries[key] = mult_entries.get(key, 0) + 1.0
+    # matrix units of M2 and M3: e_ij e_jl = e_il
+    mult_idx = [(_fib_index(b, i, j), _fib_index(b, j, l), _fib_index(b, i, l))
+                for b, n in ((1, 2), (2, 3)) for i in range(1, n + 1)
+                for j in range(1, n + 1) for l in range(1, n + 1)]
 
     def e1(i, j):
         return _fib_index(1, i, j)
@@ -594,13 +582,8 @@ def fibonacci_wha() -> AlgebraData:
     for target, source in conj_pairs.items():
         delta[target] = [(star_perm[a], star_perm[b], np.conj(v))
                          for a, b, v in delta[source]]
-    comult_entries = {}
-    for zidx, rows in delta.items():
-        for a, b, v in rows:
-            if v == 0.0:
-                continue
-            key = (zidx, a, b)
-            comult_entries[key] = comult_entries.get(key, 0) + v
+    comult_idx = [(zidx, a, b) for zidx, rows in delta.items() for a, b, _ in rows]
+    comult_val = [v for rows in delta.values() for _, _, v in rows]
 
     unit = np.zeros(dim, dtype=complex)
     for idx in (e1(1, 1), e1(2, 2), e2(1, 1), e2(2, 2), e2(3, 3)):
@@ -621,8 +604,8 @@ def fibonacci_wha() -> AlgebraData:
         for l in (1, 2, 3):
             antipode[e2(sigma[l], sigma[k]), e2(k, l)] = z ** (mu[k] - mu[l])
             star[e2(l, k), e2(k, l)] = 1.0
-    return AlgebraData(dim, labels, SparseRank3.from_dict(dim, mult_entries),
-                       SparseRank3.from_dict(dim, comult_entries), unit, counit,
+    return AlgebraData(dim, labels, structure_tensor(dim, mult_idx, np.ones(len(mult_idx))),
+                       structure_tensor(dim, comult_idx, comult_val), unit, counit,
                        antipode=antipode, star=star, tier="cstar-weak-hopf",
                        name="fibonacci")
 

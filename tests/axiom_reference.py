@@ -3,9 +3,10 @@
 Each function evaluates the same identity as its counterpart in
 `hopfbrick.algebra` / `hopfbrick.representation`, but element by element:
 products and coproducts are expanded from the COO triples (`idx`, `vals`) of
-the structure constants, with no dense tensor and no library helper.  The
-residuals returned are the same max-norms, so the library's contractions can
-be compared with them on valid and on perturbed algebras.
+the structure constants' nonzero entries, with no contraction of the dense
+tensors and no library helper.  The residuals returned are the same
+max-norms, so the library's contractions can be compared with them on valid
+and on perturbed algebras.
 """
 
 import numpy as np
@@ -15,11 +16,23 @@ from hopfbrick.algebra import AxiomError
 
 # -- coefficient-level helpers on the COO triples -------------------------------
 
+_TRIPLES = {}       # id(T) -> (T, idx, vals); the tensors are read-only
 
-def rows(t):
-    """Sparse slices of a rank-3 tensor: rows(t)[i] = [(j, k, val), ...]."""
-    out = [[] for _ in range(t.dim)]
-    for (i, j, k), v in zip(t.idx, t.vals):
+
+def triples(T):
+    """COO triples (idx, vals) of the nonzero entries of T, in C order; read
+    once per tensor."""
+    hit = _TRIPLES.get(id(T))
+    if hit is None or hit[0] is not T:
+        idx = np.argwhere(T != 0)
+        hit = _TRIPLES[id(T)] = (T, idx, T[tuple(idx.T)])
+    return hit[1], hit[2]
+
+
+def rows(T):
+    """Sparse slices of a rank-3 tensor: rows(T)[i] = [(j, k, val), ...]."""
+    out = [[] for _ in range(T.shape[0])]
+    for (i, j, k), v in zip(*triples(T)):
         out[i].append((int(j), int(k), v))
     return out
 
@@ -27,27 +40,30 @@ def rows(t):
 def mult(A, xc, yc):
     """Coefficients of x*y."""
     out = np.zeros(A.dim, dtype=complex)
-    i, j, k = A.mult.idx.T
-    np.add.at(out, k, A.mult.vals * xc[i] * yc[j])
+    idx, vals = triples(A.mult)
+    i, j, k = idx.T
+    np.add.at(out, k, vals * xc[i] * yc[j])
     return out
 
 
 def comult(A, xc):
     """Delta(x) as a coefficient matrix."""
     out = np.zeros((A.dim, A.dim), dtype=complex)
-    z, a, b = A.comult.idx.T
-    np.add.at(out, (a, b), A.comult.vals * xc[z])
+    idx, vals = triples(A.comult)
+    z, a, b = idx.T
+    np.add.at(out, (a, b), vals * xc[z])
     return out
 
 
 def sweedler(A, xc, n):
     """Delta^{(n-1)} of x as a rank-n coefficient tensor, last leg expanded."""
     out = xc
-    z, a, b = A.comult.idx.T
+    idx, vals = triples(A.comult)
+    z, a, b = idx.T
     for _ in range(n - 1):
         new = np.zeros(out.shape[:-1] + (A.dim, A.dim), dtype=complex)
         np.add.at(new.reshape(-1, A.dim, A.dim),
-                  (slice(None), a, b), out.reshape(-1, A.dim)[:, z] * A.comult.vals)
+                  (slice(None), a, b), out.reshape(-1, A.dim)[:, z] * vals)
         out = new
     return out
 
@@ -97,8 +113,8 @@ def unitality(A):
 def coassociativity(A):
     d = A.dim
     res = 0.0
-    uu, aa, bb = A.comult.idx.T
-    vals = A.comult.vals
+    idx, vals = triples(A.comult)
+    uu, aa, bb = idx.T
     for z in range(d):
         two = comult(A, np.eye(d, dtype=complex)[z])
         lhs = np.zeros((d, d, d), dtype=complex)
@@ -152,7 +168,7 @@ def weak_unit(A):
     d1 = comult(A, A.unit)
     mid1 = np.zeros((d, d, d), dtype=complex)
     mid2 = np.zeros((d, d, d), dtype=complex)
-    for (i, j, k), v in zip(A.mult.idx, A.mult.vals):
+    for (i, j, k), v in zip(*triples(A.mult)):
         mid1[:, k, :] += v * np.outer(d1[:, i], d1[j, :])
         mid2[:, k, :] += v * np.outer(d1[:, j], d1[i, :])
     return float(max(np.abs(d2 - mid1).max(), np.abs(d2 - mid2).max()))

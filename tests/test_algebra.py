@@ -9,7 +9,7 @@ from hopfbrick import (AlgebraSpecError, AxiomError, ExponentCapError,
                        counit, derive_tier, dual_algebra, exponent,
                        load_algebra, multiply, save_algebra,
                        source_target_maps, star_apply, antipode_apply, zoo)
-from hopfbrick.algebra import algebra_to_dict, canonical_unit
+from hopfbrick.algebra import AlgebraData, algebra_to_dict, canonical_unit
 
 
 def test_z2_loads_as_cstar_hopf(tmp_path):
@@ -151,8 +151,8 @@ def test_double_dual_is_identity():
     for name in ("z3-regular", "dihedral-3", "fibonacci"):
         A = zoo.model(name).algebra
         DD = dual_algebra(dual_algebra(A))
-        assert np.abs(DD.mult.dense() - A.mult.dense()).max() < 1e-12
-        assert np.abs(DD.comult.dense() - A.comult.dense()).max() < 1e-12
+        assert np.abs(DD.mult - A.mult).max() < 1e-12
+        assert np.abs(DD.comult - A.comult).max() < 1e-12
         assert np.abs(DD.unit - A.unit).max() < 1e-12
         assert np.abs(DD.counit - A.counit).max() < 1e-12
         if A.antipode is not None:
@@ -164,7 +164,7 @@ def test_double_dual_is_identity():
 def test_dual_of_d3_not_cocommutative():
     A = zoo.group_algebra(zoo.dihedral_group(3))
     D = dual_algebra(A)
-    Lam = D.comult.dense()
+    Lam = D.comult
     assert np.abs(Lam - np.transpose(Lam, (0, 2, 1))).max() > 0.5
 
 
@@ -257,13 +257,28 @@ def test_canonical_element_unitary_and_pq_idempotent():
         assert np.abs(q2 - q).max() < 1e-12
 
 
+def test_structure_constants_are_read_only_dense_arrays(tmp_path):
+    A = zoo.fibonacci_wha()
+    save_algebra(A, tmp_path / "fib.json")
+    for B in (A, dual_algebra(A), load_algebra(tmp_path / "fib.json")):
+        for T in (B.mult, B.comult):
+            assert T.shape == (B.dim,) * 3 and T.dtype == complex
+            assert T.flags["C_CONTIGUOUS"] and not T.flags["WRITEABLE"]
+            with pytest.raises(ValueError):
+                T[0, 0, 0] = 1.0
+    with pytest.raises(AlgebraSpecError, match="shape"):
+        AlgebraData(A.dim, A.basis_labels, A.mult[:-1], A.comult, A.unit, A.counit)
+    with pytest.raises(AlgebraSpecError, match="shape"):
+        AlgebraData(A.dim, A.basis_labels, A.mult, A.comult.reshape(A.dim, -1), A.unit, A.counit)
+
+
 def test_save_load_roundtrip(tmp_path):
     A = zoo.fibonacci_wha()
     path = tmp_path / "fib.json"
     save_algebra(A, path)
     B = load_algebra(path)
-    assert np.abs(B.mult.dense() - A.mult.dense()).max() < 1e-15
-    assert np.abs(B.comult.dense() - A.comult.dense()).max() < 1e-15
+    assert np.abs(B.mult - A.mult).max() < 1e-15
+    assert np.abs(B.comult - A.comult).max() < 1e-15
     assert B.tier == A.tier
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from hopfbrick import cli, mpo, tensors, zoo
-from hopfbrick.algebra import algebra_to_dict
+from hopfbrick.algebra import MAX_DIM, algebra_to_dict
 from hopfbrick.cli import _initial_state, _single_site_operator, main
 
 
@@ -137,19 +137,21 @@ def test_bad_site_label_raises(label):
 
 
 def test_run_records_bad_operator_label(tmp_path, capsys):
-    config = {
-        "model": "zoo:fibonacci",
-        "initial_state": "3",
-        "quantities": [{"name": "expectation", "O": "e4", "label": "q", "t": [1]}],
-    }
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    rc = run_cli(["run", str(cfg), "--out", str(tmp_path / "o")])
-    capsys.readouterr()
-    assert rc == 1
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert "outside 1..3" in manifest["errors"][0]["error"]
-    assert (tmp_path / "o" / "q.csv").read_text().strip().count("\n") == 0
+    # a bad label and a matrix operator that is not numeric skip their point
+    for op, message in (("e4", "outside 1..3"), ({"x": 1}, "not a numeric array")):
+        config = {
+            "model": "zoo:fibonacci",
+            "initial_state": "3",
+            "quantities": [{"name": "expectation", "O": op, "label": "q", "t": [1]}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = run_cli(["run", str(cfg), "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        assert rc == 1
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert message in manifest["errors"][0]["error"]
+        assert (tmp_path / "o" / "q.csv").read_text().strip().count("\n") == 0
 
 
 def test_run_skips_two_point_off_the_integer_grid(tmp_path, capsys):
@@ -188,6 +190,22 @@ def test_run_bad_input_exits_cleanly(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("run error:") and err.count("\n") == 1
     assert run_cli(["run", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("model", 5), ("initial_state", 5), ("initial_state", {"rho": "3"}),
+], ids=["model-number", "state-number", "state-without-v"])
+def test_run_config_value_of_wrong_type_exits_2(key, value, tmp_path, capsys):
+    # a config value of the wrong JSON type is one error line and exit code
+    # 2, with no CSV written
+    config = {"model": "zoo:fibonacci", "initial_state": "3",
+              "quantities": [{"name": "expectation", "O": "e1", "t": [1]}], key: value}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_oracle_check_columns(tmp_path, capsys):
@@ -445,6 +463,26 @@ def test_verify_malformed_field_exits_2_with_one_line(path, value, tmp_path, cap
     assert run_cli(["verify", str(tmp_path / "bad.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+def test_spec_over_the_dim_cap_exits_2_with_one_line(tmp_path, capsys):
+    # a spec whose lists all match its dim, one over the cap, is refused
+    # before any dim^3 structure tensor is allocated
+    d = MAX_DIM + 1
+    diag = [[i, i, i, "1", "0"] for i in range(d)]
+    doc = {"dim": d, "basis": [f"e{i}" for i in range(d)], "mult": diag, "comult": diag,
+           "unit": ["1"] * d, "counit": ["1"] * d, "tier": "bialgebra",
+           "reps": {"rho": [["1"]] * d}, "coreps": {"v": ["1"] * d}}
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    assert run_cli(["verify", str(tmp_path / "big.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1 and "exceeds cap" in err
+    cfg = write_run_config(tmp_path / "cfg.json", str(tmp_path / "big.json"),
+                           [{"name": "expectation", "O": "e1", "t": [1]}], "1")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error:") and err.count("\n") == 1 and "exceeds cap" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("quantity", [

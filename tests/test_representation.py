@@ -103,16 +103,15 @@ def test_tensor_power_rep():
     for x in range(6):
         lhs = t3.matrices[x]
         rhs = np.zeros_like(lhs)
-        for (z, p, q), val in zip(A.comult.idx, A.comult.vals):
-            if z == x:
-                rhs += val * np.kron(pair.rho.matrices[p], mixed.matrices[q])
+        for p, q in np.argwhere(A.comult[x] != 0):
+            rhs += A.comult[x, p, q] * np.kron(pair.rho.matrices[p], mixed.matrices[q])
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_tensor_power_memory_guard():
     pair = zoo.model("dihedral-3")
     with pytest.raises(MemoryError):
-        tensor_power_rep(pair.rho, 12, entry_cap=10 ** 4)
+        tensor_power_rep(pair.rho, 12)
 
 
 def test_tensor_power_corep_matches_diamond():

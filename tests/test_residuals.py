@@ -1,9 +1,9 @@
 """The contracted axiom and (co)representation residuals against loop forms.
 
-`axiom_reference` evaluates every identity element by element from the COO
-triples.  On a valid algebra both sides read ~0, so a wrong contraction would
-pass there unnoticed; the seeded perturbations add noise to every structure
-constant, the unit, counit, antipode and star (and to the model's rho and v),
+`axiom_reference` evaluates every identity element by element from the
+nonzero entries of the structure constants.  On a valid algebra both sides
+read ~0, so a wrong contraction would pass there unnoticed; the seeded
+perturbations add noise to every structure constant, the unit, counit, antipode and star (and to the model's rho and v),
 so each residual is of order one and a wrong formula shows.
 """
 
@@ -15,7 +15,7 @@ from hopfbrick import (AxiomError, Corepresentation, Representation, check_axiom
                        check_corepresentation, check_representation, corep_to_dual_rep,
                        dual_algebra, regular_corepresentation, regular_representation,
                        rep_to_dual_corep, zoo)
-from hopfbrick.algebra import _AXIOMS, AlgebraData, SparseRank3
+from hopfbrick.algebra import _AXIOMS, AlgebraData, structure_tensor
 
 REL = 1e-12
 SCALE = 0.1
@@ -28,12 +28,13 @@ def _noise(rng, shape):
     return SCALE * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
-def _perturbed_rank3(rng, t):
-    """Noise on every stored entry, plus noise on a few new random entries."""
-    extra = rng.integers(0, t.dim, size=(max(2, len(t.vals) // 4), 3))
-    idx = np.vstack([t.idx, extra])
-    vals = np.concatenate([t.vals, np.zeros(len(extra))])
-    return SparseRank3(t.dim, idx, vals + _noise(rng, len(vals)))
+def _perturbed_rank3(rng, T):
+    """Noise on every nonzero entry, plus noise on a few new random entries."""
+    nz = np.argwhere(T != 0)
+    extra = rng.integers(0, T.shape[0], size=(max(2, len(nz) // 4), 3))
+    idx = np.vstack([nz, extra])
+    vals = np.concatenate([T[tuple(nz.T)], np.zeros(len(extra))])
+    return structure_tensor(T.shape[0], idx, vals + _noise(rng, len(vals)))
 
 
 def perturbed(A, seed):

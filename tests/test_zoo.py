@@ -176,5 +176,5 @@ def test_export_roundtrip(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         loaded = load_algebra(json.loads(path.read_text()))
-        assert np.abs(loaded.mult.dense() - pair.algebra.mult.dense()).max() < 1e-15
+        assert np.abs(loaded.mult - pair.algebra.mult).max() < 1e-15
         assert loaded.tier == pair.algebra.tier
