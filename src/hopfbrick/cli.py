@@ -111,7 +111,10 @@ def _numeric(spec, shape, what):
         raise ValueError(f"{what} {spec!r} is not a numeric array") from None
 
 
-def _site_vector(spec, d):
+def _site_vector(spec, d, site):
+    """The `site` ("rho" or "v") vector of the initial state from a label or
+    a list of d amplitudes; ValueError, naming the site and the cause, on a
+    vector of another length, a null or non-finite entry, or all zeros."""
     named = {"+": np.ones(d) / np.sqrt(d)}
     if isinstance(spec, str):
         if spec in named:
@@ -119,21 +122,32 @@ def _site_vector(spec, d):
         out = np.zeros(d)
         out[_site_index(spec, d)] = 1.0
         return out
-    return _numeric(spec, -1, "site vector")
+    what = f"initial state {site} vector"
+    if spec is None:
+        raise ValueError(f"{what} is null")
+    vec = _numeric(spec, -1, what)
+    if len(vec) != d:
+        raise ValueError(f"{what} {spec!r} has {len(vec)} entries, not the site dimension {d}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{what} {spec!r} has a null or non-finite entry")
+    if not vec.any():
+        raise ValueError(f"{what} {spec!r} is zero")
+    return vec
 
 
 def _initial_state(spec, d):
     """Product state from a site-label string like '33' or '+,+', or from
     {"rho": ..., "v": ...} site labels or vectors."""
     if isinstance(spec, dict) and {"rho", "v"} <= spec.keys():
-        return mpo.MPSState.product(_site_vector(spec["rho"], d), _site_vector(spec["v"], d))
+        return mpo.MPSState.product(_site_vector(spec["rho"], d, "rho"),
+                                    _site_vector(spec["v"], d, "v"))
     if not isinstance(spec, str):
         raise ValueError(f"initial state {spec!r} is not a label string or a {{rho, v}} object")
     labels = spec.split(",") if "," in spec else list(spec)
     if len(labels) == 1:
         labels = labels * 2
-    v_vec = _site_vector(labels[0], d)
-    rho_vec = _site_vector(labels[1], d)
+    v_vec = _site_vector(labels[0], d, "v")
+    rho_vec = _site_vector(labels[1], d, "rho")
     return mpo.MPSState.product(rho_vec, v_vec)
 
 

@@ -28,7 +28,9 @@ steps) and restricted to the Krylov span its boundary vector reaches, a few
 dimensions at any length; and a middle run whose cell keeps the replica
 pairing, one small matrix per leg taken to its power.  A point costs
 O(span + log t) (span cells plus log t small matrix products) instead of
-l + 2t replica steps.
+l + 2t replica steps.  The channel, kept per alpha on the TransferStack,
+keeps each ramp's span: a scan pays it once per (state, alpha, end), and a
+later point one small matrix power per ramp plus its joining steps.
 
 Time bookkeeping: one period applies the odd then the even gate layer, so a
 Heisenberg operator at time t spans 2t column pairs (t in half-integers).
@@ -238,6 +240,7 @@ class TransferStack:
         self.K_L = np.einsum("y,Y,mM->yYmM", eps, eps.conj(), lamL).reshape(-1)
         self.K_R = np.einsum("x,X,nN->xXnN", u, u.conj(), lamR).reshape(-1)
         self._factors = {}
+        self._channels = {}
 
     def _pair(self, ket, bra):
         """sum_a ket[a] (x) bra[a] in the cut layout."""
@@ -293,6 +296,15 @@ class TransferStack:
             V[cols] = vh[:r].T
             self._factors[kind] = (U, V)
         return self._factors[kind]
+
+    def replica_channel(self, alpha) -> "ReplicaChannel":
+        """The alpha-replica channel of this stack (one tensor set on one
+        state), built on first use; the points of a scan share its steps and
+        ramp spans."""
+        channel = self._channels.get(int(alpha))
+        if channel is None:
+            channel = self._channels[int(alpha)] = ReplicaChannel(self.ts, self.state, alpha)
+        return channel
 
 
 # -- operator-shape MPOs ----------------------------------------------------------------
@@ -537,10 +549,12 @@ class ReplicaChannel:
 
     `apply` steps one column at a time.  Segment programs (`_replica_trace`)
     take the steps from `step` instead, in both directions, and repeat a
-    cell by `power`.  The transpose of a same-pairing step is the transposed
-    per-leg matrix, and that of a pairing switch src -> dst is the switch
-    back, dst -> src, with the roles of the two factors swapped (V_dst
-    expands, U_src contracts).
+    cell by `power`, or by `ramp` from a boundary.  A channel is built once
+    per (state, tensor set, alpha) by `TransferStack.replica_channel`, and
+    keeps one Arnoldi span per ramp.  The transpose of a same-pairing step
+    is the transposed per-leg matrix, and that of a pairing switch src ->
+    dst is the switch back, dst -> src, with the roles of the two factors
+    swapped (V_dst expands, U_src contracts).
     """
 
     def __init__(self, ts, state, alpha):
@@ -567,6 +581,7 @@ class ReplicaChannel:
         self.kr_pair = np.kron(ts.unit_vec, ts.unit_vec.conj())[pairs]
         self.kl_pair = np.kron(ts.counit_vec, ts.counit_vec.conj())[pairs]
         self._steps = {}
+        self._spans = {}
         self._basis = None
         self._work = {}
 
@@ -608,7 +623,7 @@ class ReplicaChannel:
         """(x, s) with C^reps vec = e^s x, |x| = 1, for C the map of one
         (rho, v) cell between its v columns (C^T if `transpose`).  A cell that
         keeps the pairing is one r x r matrix per leg, taken to its power; a
-        ramp cell is restricted to its Krylov span."""
+        cell that switches it is restricted to the Krylov span of `vec`."""
         rho, v = cell
         if reps == 0:
             return _unit(vec)
@@ -617,9 +632,28 @@ class ReplicaChannel:
             P, s = _matrix_power(Mt.T if transpose else Mt, reps)
             vec, s_unit = _unit(self._same(P)(vec))
             return vec, self.alpha * s + s_unit
+        return _krylov_power(self._cell_map(cell, transpose), _Span(vec), reps)
+
+    def ramp(self, cell, reps, transpose=False):
+        """`power` of a pairing-switching cell on its ramp's start, one step
+        from the right boundary, step("R", v)(start()), or with `transpose`
+        from the left one, left(rho).  That start depends on the cell alone,
+        so its Arnoldi span is kept, per (cell, direction, KRYLOV_MAX,
+        TOL_NUM), and `_krylov_power` extends it on demand."""
+        key = (cell, transpose, KRYLOV_MAX, TOL_NUM)
+        span = self._spans.get(key)
+        if span is None:
+            rho, v = cell
+            start = self.step(v, rho, transpose=True)(self.left(rho)) if transpose \
+                else self.step("R", v)(self.start())
+            span = self._spans[key] = _Span(start)
+        return _krylov_power(self._cell_map(cell, transpose), span, reps)
+
+    def _cell_map(self, cell, transpose):
+        """C (or C^T) of one (rho, v) cell, from and to its v basis."""
+        rho, v = cell
         fwd, back = self.step(v, rho, transpose), self.step(rho, v, transpose)
-        return _krylov_power((lambda c: fwd(back(c))) if transpose else (lambda c: back(fwd(c))),
-                             vec, reps)
+        return (lambda c: fwd(back(c))) if transpose else (lambda c: back(fwd(c)))
 
     def _overlap(self, src, dst):
         """M^T of a same-pairing step src -> dst, the per-leg (r1, r2) matrix."""
@@ -735,42 +769,71 @@ def _matrix_power(M, reps):
     return power, log_p
 
 
-def _krylov_power(cell, vec, reps):
-    """(x, s) with cell^reps vec = e^s x, |x| = 1, on the Krylov span of vec.
+class _Span:
+    """The Arnoldi span of one start vector: its unit `basis`, flat, and H =
+    Q^H C Q in a KRYLOV_MAX square, grown by `extend`.  Each Arnoldi step
+    depends only on the steps before it, so a span extended in parts holds
+    the same numbers as one built at once."""
 
-    Arnoldi with re-orthogonalized Gram-Schmidt builds Q and H = Q^H C Q from
-    the coefficients alone.  The span closes when a new residual falls below
-    TOL_NUM times the largest |C q| seen, and then cell^reps = Q H^reps Q^H
-    on vec.  A run that has not closed when its cells are used up was stepped
-    exactly: H holds the cells applied so far, with a zero last column.  A
-    basis of KRYLOV_MAX vectors restarts from the current iterate.
-    """
-    shape = vec.shape
-    vec, log_scale = _unit(vec.reshape(-1))
-    while reps:
-        basis, largest = [vec], 0.0
-        H = np.zeros((KRYLOV_MAX, KRYLOV_MAX), dtype=complex)
-        for j in range(min(reps, KRYLOV_MAX - 1)):
-            w = cell(basis[j].reshape(shape)).reshape(-1)
-            largest = max(largest, np.linalg.norm(w))
+    def __init__(self, vec):
+        self.shape = vec.shape
+        q, self.log_norm = _unit(vec.reshape(-1))
+        self.basis = [q]
+        self.H = np.zeros((KRYLOV_MAX, KRYLOV_MAX), dtype=complex)
+        self.largest = 0.0
+        self.closed = False
+
+    def extend(self, cell, reps):
+        """Arnoldi with re-orthogonalized Gram-Schmidt, until the span closes
+        or holds min(reps + 1, KRYLOV_MAX) vectors.  It closes when a new
+        residual falls below TOL_NUM times the largest |C q| seen."""
+        basis, H = self.basis, self.H
+        while not self.closed and len(basis) < min(reps + 1, len(H)):
+            j = len(basis) - 1
+            w = cell(basis[j].reshape(self.shape)).reshape(-1)
+            self.largest = max(self.largest, np.linalg.norm(w))
             for _ in range(2):
                 for i, q in enumerate(basis):
                     h = np.vdot(q, w)
                     H[i, j] += h
                     w -= h * q
             beta = np.linalg.norm(w)
-            if beta <= TOL_NUM * largest:
-                applied, n = reps, j + 1
-                break
-            H[j + 1, j] = beta
-            basis.append(w / beta)
+            self.closed = beta <= TOL_NUM * self.largest
+            if not self.closed:
+                H[j + 1, j] = beta
+                basis.append(w / beta)
+
+
+def _krylov_power(cell, span, reps):
+    """(x, s) with cell^reps b = e^s x, |x| = 1, b the start vector of `span`.
+
+    The span is extended as far as reps needs.  A closed span of n vectors
+    gives cell^reps = Q H^reps Q^H on b for any reps >= n.  Below closure
+    the first reps + 1 vectors hold the cells applied so far exactly: their H
+    with a zero last column, whatever the span holds beyond them.  A span of
+    KRYLOV_MAX vectors that has not closed restarts, in a fresh span, from
+    the iterate it reaches.
+    """
+    log_scale = span.log_norm
+    if not reps:
+        return span.basis[0].reshape(span.shape).copy(), log_scale
+    while True:
+        span.extend(cell, reps)
+        n = len(span.basis)
+        if span.closed and reps >= n:
+            applied, H = reps, span.H[:n, :n]
         else:
-            applied, n = len(basis) - 1, len(basis)
-        P, s = _matrix_power(H[:n, :n], applied)
-        vec, s_unit = _unit(sum(c * q for c, q in zip(P[:, 0], basis)))
+            applied = min(reps, n - 1)
+            H = span.H[:applied + 1, :applied + 1].copy()
+            H[:, applied] = 0
+        P, s = _matrix_power(H, applied)
+        vec, s_unit = _unit(sum(c * q for c, q in zip(P[:, 0], span.basis)))
         log_scale += s + s_unit
         reps -= applied
-    return vec.reshape(shape), log_scale
+        if not reps:
+            return vec.reshape(span.shape), log_scale
+        span = _Span(vec.reshape(span.shape))
+        log_scale += span.log_norm
 
 
 def _replica_trace(ch, program):
@@ -781,24 +844,27 @@ def _replica_trace(ch, program):
     first go forward from the right boundary, one forward cell joining each
     to the run on its left; then the first run goes transposed from the left
     boundary, and the two vectors meet at its last v column (a first run of
-    one cell is stepped forward instead).  Each run's repeated cell is one
-    `ReplicaChannel.power`.
+    one cell is stepped forward instead).  The last and the first run start
+    at a boundary, each one `ReplicaChannel.ramp` on its kept span; each run
+    between them is one `ReplicaChannel.power`.
     """
     runs = _runs(program)
-    vec, log_r = ch.step("R", runs[-1][0][1])(ch.start()), 0.0
+    # a single run is the first run too, powered from the left below
+    vec, log_r = ch.ramp(runs[-1][0], runs[-1][1] - 1 if len(runs) > 1 else 0)
     for j in range(len(runs) - 1, 0, -1):
         (rho, v), reps = runs[j]
-        vec, s = ch.power((rho, v), reps - 1, vec)
+        if j < len(runs) - 1:
+            vec, s = ch.power((rho, v), reps - 1, vec)
+            log_r += s
         vec = ch.step(v, rho)(vec)
         vec, s_unit = _unit(ch.step(rho, runs[j - 1][0][1])(vec))
-        log_r += s + s_unit
+        log_r += s_unit
     (rho, v), reps = runs[0]
     if reps == 1:
         # nothing to power: one forward step onto the rank-one boundary, which
         # is never expanded into a full tensor
         return ch.trace(ch.step(v, rho)(vec), rho), log_r
-    left, log_l = ch.power((rho, v), reps - 1,
-                           ch.step(v, rho, transpose=True)(ch.left(rho)), transpose=True)
+    left, log_l = ch.ramp((rho, v), reps - 1, transpose=True)
     return complex(np.sum(left * vec)), log_l + log_r
 
 
@@ -811,7 +877,7 @@ def _replica_entropy(ts, state, t, alpha, program) -> float:
         return 0.0
     # vectors are kept at unit norm, their scale carried as a logarithm: long
     # programs shrink the trace to e^(-(alpha - 1) H), into the subnormal range
-    tr, log_scale = _replica_trace(ReplicaChannel(ts, state, alpha), program)
+    tr, log_scale = _replica_trace(state.transfer_stack(ts).replica_channel(alpha), program)
     if abs(tr.imag) > TOL_NUM * max(1.0, abs(tr.real)):
         raise FloatingPointError(f"replica trace has imaginary part {tr.imag:.3e}")
     if tr.real <= 0:
@@ -819,8 +885,8 @@ def _replica_entropy(ts, state, t, alpha, program) -> float:
     h = float((np.log(tr.real) + log_scale) / (1 - alpha))
     # H_alpha of a normalized state is at most the log of its open legs'
     # dimension; beyond it the trace is the round-off of a vanishing one
-    h_max = sum(np.log(ts.d_rho if kind == "rho" else ts.d_v) for kind, is_open in program
-                if is_open)
+    h_max = (program.count(("rho", True)) * math.log(ts.d_rho)
+             + program.count(("v", True)) * math.log(ts.d_v))
     if h > h_max + TOL_NUM * max(1.0, h_max):
         raise FloatingPointError(f"replica entropy {h:.3e} exceeds the bound {h_max:.3e} "
                                  "of a normalized state")

@@ -10,8 +10,8 @@ sites carry v-legs and odd sites rho-legs.  A full period applies the odd
 layer (pairs (2j-1, 2j), wrapping) and then the even layer (pairs (2j, 2j+1)).
 
 A state is a vector of d**n amplitudes or a block (d**n, k) of k state
-columns; every gate off the ring's wrapping pair is one matmul on a reshaped
-view, so a block costs one pass per layer.  Traces push the subspace basis through in column blocks of
+columns; every gate is one matmul on a reshaped view (`_apply_pair_op`), so a
+block costs one pass per layer.  Traces push the subspace basis through in column blocks of
 at most `COLUMN_BLOCK` amplitudes.
 """
 
@@ -25,6 +25,7 @@ import numpy as np
 DEFAULT_AMPLITUDE_CAP = 2 * 10 ** 4
 DENSE_U_CAP = 256
 COLUMN_BLOCK = 2 ** 20        # amplitudes per block of basis columns in a trace
+GEMM_ROWS = 2 ** 12           # rows per GEMM of a right-end gate
 
 
 @dataclass
@@ -83,13 +84,30 @@ def basis_string_state(circuit: DenseCircuit, labels) -> np.ndarray:
 
 
 def _apply_pair_op(psi, op, p, n, d):
-    """Apply a two-site operator on sites (p, p+1 mod n) of a state or column block."""
-    if p == n - 1:                      # wrapping pair (n-1, 0)
-        arr = psi.reshape((d,) * n + (-1,))
-        out = np.tensordot(op.reshape(d, d, d, d), arr, axes=([2, 3], [n - 1, 0]))
-        out = np.moveaxis(out, [0, 1], [n - 1, 0])
-    else:
-        out = np.matmul(op, psi.reshape(d ** p, d * d, -1))
+    """Apply a two-site operator on sites (p, p+1 mod n) of a state or column block.
+
+    The gate is one matmul over the d^p blocks (d^2, rest) of the state.  At
+    the right end of the chain rest is below d^2, and those would be d^p tiny
+    products: there the gate is one 2-D GEMM of the rows (d^2 rest) with
+    op (x) 1_rest instead.  The wrapping pair (n-1, 0) is one 2-D GEMM on the
+    transposed view whose rows are its two sites.
+    """
+    dd = d * d
+    if p == n - 1:
+        # [site 0, middle, site n-1, columns], gate rows (site n-1, site 0)
+        x = psi.reshape(d, -1, d, psi.size // d ** n)
+        out = op @ x.transpose(2, 0, 1, 3).reshape(dd, -1)
+        return out.reshape(d, d, x.shape[1], x.shape[3]).transpose(1, 2, 0, 3).reshape(psi.shape)
+    rest = psi.size // d ** (p + 2)
+    if rest >= dd:
+        return np.matmul(op, psi.reshape(d ** p, dd, rest)).reshape(psi.shape)
+    # in slabs of rows: one GEMM over all d^p rows lets threaded BLAS take
+    # working memory of the state's size
+    x = psi.reshape(d ** p, dd * rest)
+    gate = np.kron(op.T, np.eye(rest))
+    out = np.empty(x.shape, dtype=np.result_type(x, gate))
+    for i in range(0, len(x), GEMM_ROWS):
+        np.matmul(x[i:i + GEMM_ROWS], gate, out=out[i:i + GEMM_ROWS])
     return out.reshape(psi.shape)
 
 

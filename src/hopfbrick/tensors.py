@@ -144,8 +144,11 @@ def verify_pentagon(ts: SolvableTensorSet) -> dict:
     u, eps = ts.unit_vec, ts.counit_vec
     out = {}
 
+    # the three-operand right-hand sides contract pairwise, the algebra leg
+    # first: a single einsum over all nine indices is ~5x slower
     lhs = np.einsum("abwy,ijxw->abijxy", R, V)
-    rhs = np.einsum("ikwy,acxw,kcbj->abijxy", V, R, U)
+    VR = np.tensordot(V, R, axes=([2], [3]))                     # [i, k, y, a, c, x]
+    rhs = np.tensordot(VR, U, axes=([1, 4], [0, 1])).transpose(2, 4, 0, 5, 3, 1)
     out["exchange"] = float(np.abs(lhs - rhs).max())
 
     # rho-tensor against the bare-corepresentation triangle
@@ -164,7 +167,8 @@ def verify_pentagon(ts: SolvableTensorSet) -> dict:
 
     # primed exchange
     lhsp = np.einsum("ijxw,abwy->abijxy", Vp, Rp)
-    rhsp = np.einsum("iack,cbxw,kjwy->abijxy", U, Rp, Vp)
+    RV = np.tensordot(Rp, Vp, axes=([3], [2]))                   # [c, b, x, k, j, y]
+    rhsp = np.tensordot(U, RV, axes=([2, 3], [0, 3])).transpose(1, 2, 0, 4, 3, 5)
     out["exchange-primed"] = float(np.abs(lhsp - rhsp).max())
 
     # boundary absorptions (hold exactly at bialgebra tier and above)

@@ -65,6 +65,7 @@ class FullSlotChannel(mpo.ReplicaChannel):
         self.kr_pair = np.kron(ts.unit_vec, ts.unit_vec.conj())
         self.kl_pair = np.kron(ts.counit_vec, ts.counit_vec.conj())
         self._steps = {}
+        self._spans = {}
         self._basis = None
 
     def _same(self, Mt):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -206,6 +207,32 @@ def test_run_config_value_of_wrong_type_exits_2(key, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("run error:") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("vector,cause", [
+    ([1, 0], "has 2 entries, not the site dimension 3"),
+    ([0, 0, 0], "is zero"),
+    (None, "is null"),
+    ([None, 0, 1], "null or non-finite entry"),
+    ([float("nan"), 0, 1], "null or non-finite entry"),
+    ([float("inf"), 0, 1], "null or non-finite entry"),
+], ids=["wrong-length", "zero", "null", "null-entry", "nan-entry", "inf-entry"])
+def test_run_bad_site_vector_exits_2(vector, cause, tmp_path, capsys):
+    # a {rho, v} vector that is no state of a qutrit site is one error line
+    # naming the site and the cause, exit code 2 and no warning
+    with pytest.raises(ValueError, match="initial state rho vector") as err:
+        _initial_state({"rho": vector, "v": [0, 0, 1]}, 3)
+    assert cause in str(err.value)
+    config = {"model": "zoo:fibonacci", "initial_state": {"rho": vector, "v": "3"},
+              "quantities": [{"name": "expectation", "O": "e1", "t": [1]}]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error: initial state rho vector") and err.count("\n") == 1
+    assert cause in err
 
 
 def test_run_oracle_check_columns(tmp_path, capsys):

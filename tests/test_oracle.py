@@ -278,3 +278,30 @@ def test_amplitude_cap():
     ts = build_tensors(zoo.model("fibonacci"))
     with pytest.raises(MemoryError):
         orc.DenseCircuit.from_tensor_set(ts, L=12)
+
+
+def _pair_op_reference(psi, op, p, n, d):
+    """The two-site gate as one batched matmul off the wrapping pair and a
+    tensordot on it: the reference for `oracle._apply_pair_op`."""
+    if p == n - 1:
+        arr = psi.reshape((d,) * n + (-1,))
+        out = np.tensordot(op.reshape(d, d, d, d), arr, axes=([2, 3], [n - 1, 0]))
+        out = np.moveaxis(out, [0, 1], [n - 1, 0])
+    else:
+        out = np.matmul(op, psi.reshape(d ** p, d * d, -1))
+    return out.reshape(psi.shape)
+
+
+@pytest.mark.parametrize("d,n,k", [(3, 12, None), (3, 8, 2), (3, 6, 20), (2, 10, None),
+                                   (2, 10, 3)])
+def test_pair_gate_matches_reference(d, n, k):
+    # every pair, the right end (rest below d^2) and the wrapping pair too,
+    # on states and column blocks with O(1) entries
+    rng = np.random.default_rng(n + d)
+    shape = (d ** n,) if k is None else (d ** n, k)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    op = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    for p in range(n):
+        out = orc._apply_pair_op(psi, op, p, n, d)
+        assert out.shape == psi.shape
+        assert np.abs(out - _pair_op_reference(psi, op, p, n, d)).max() <= 1e-13, p

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfbrick import mpo
-from dense_reference import replica_entropy
+from dense_reference import FullSlotChannel, replica_entropy
 
 
 @pytest.mark.parametrize("model,ranks", [("fib", (34, 34)), ("d3", (36, 18))])
@@ -208,3 +209,95 @@ def test_live_slot_support_is_exact(model, n_live, request):
         U, V = stack.factors(kind)
         assert not U[~np.any(T != 0, axis=1)].any()
         assert not V[~np.any(T != 0, axis=0)].any()
+
+
+STATES = {"fib": ([0, 0, 1], [0, 0, 1]), "d3": ([1, 1], [1, 1])}
+# (l, n) blocks, and half chains as (None, n)
+SCAN = BLOCKS + [(40, 20), (40, 60), (None, 1), (None, 3), (None, 20)]
+
+
+def _scan_point(ts, state, alpha, point):
+    l, n = point
+    if l is None:
+        return mpo.renyi_half_chain(ts, state, n / 2, alpha)
+    return mpo.renyi_replica(ts, state, l, n / 2, alpha)
+
+
+def _program(point):
+    l, n = point
+    return [("rho", True), ("v", False)] * n if l is None else mpo._renyi_program(l, n)
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+@pytest.mark.parametrize("model", ["fib", "d3"])
+def test_cached_scan_is_bitwise_fresh(model, alpha, request, monkeypatch):
+    # one state's channel answers a whole scan, in shuffled order, with the
+    # bits of a fresh channel at every point, and within 1e-12 of the
+    # full-slot reference, which builds a channel per call
+    ts = request.getfixturevalue(f"{model}_ts")
+    builds = []
+    for cls in (mpo.ReplicaChannel, FullSlotChannel):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__:
+                            builds.append(type(self)) or init(self, *args))
+    state = mpo.MPSState.product(*STATES[model])
+    order = np.random.default_rng(alpha).permutation(len(SCAN))
+    cached = {SCAN[i]: _scan_point(ts, state, alpha, SCAN[i]) for i in order}
+    assert builds == [mpo.ReplicaChannel]
+    # the blocks' two ramps and the half chain's right boundary vector
+    assert len(state.transfer_stack(ts).replica_channel(alpha)._spans) == 3
+    for point, value in cached.items():
+        assert _scan_point(ts, mpo.MPSState.product(*STATES[model]), alpha, point) == value, point
+        ref = replica_entropy(ts, state, _program(point), alpha)
+        assert abs(value - ref) <= 1e-12, point
+    assert builds.count(mpo.ReplicaChannel) == 1 + len(SCAN)
+    assert builds.count(FullSlotChannel) == len(SCAN)
+
+
+def test_channel_cache_is_per_tensor_set_state_and_alpha(fib_ts):
+    # a warm channel never answers for another tensor set, state or alpha
+    vectors = {"3": STATES["fib"], "21": ([0, 1, 0], [1, 0, 0])}
+    states = {label: mpo.MPSState.product(*vecs) for label, vecs in vectors.items()}
+    other_ts = dataclasses.replace(fib_ts)
+    point = (14, 30)
+    for alpha in (2, 3):
+        _scan_point(fib_ts, states["3"], alpha, point)
+    channels = [st.transfer_stack(ts).replica_channel(alpha)
+                for ts in (fib_ts, other_ts) for st in states.values() for alpha in (2, 3)]
+    assert len(set(map(id, channels))) == 8
+    for ts in (fib_ts, other_ts):
+        for label, st in states.items():
+            for alpha in (2, 3):
+                fresh = _scan_point(ts, mpo.MPSState.product(*vectors[label]), alpha, point)
+                assert _scan_point(ts, st, alpha, point) == fresh, (label, alpha)
+    assert _scan_point(fib_ts, states["3"], 2, point) != _scan_point(fib_ts, states["21"], 2, point)
+
+
+@pytest.mark.parametrize("name,value", [("KRYLOV_MAX", 3), ("TOL_NUM", 1e-6)])
+def test_spans_are_keyed_on_krylov_constants(name, value, fib_ts, monkeypatch):
+    # spans built under the default constants never answer under others:
+    # the warm channel gives a fresh channel's bits under the new value
+    state = mpo.MPSState.product(*STATES["fib"])
+    ch = state.transfer_stack(fib_ts).replica_channel(3)
+    point = (14, 30)
+    _scan_point(fib_ts, state, 3, point)
+    warm = dict(ch._spans)
+    monkeypatch.setattr(mpo, name, value)
+    h = _scan_point(fib_ts, state, 3, point)
+    assert h == _scan_point(fib_ts, mpo.MPSState.product(*STATES["fib"]), 3, point)
+    new = set(ch._spans) - set(warm)
+    assert len(new) == len(warm)
+    assert all(key[2:] == (mpo.KRYLOV_MAX, mpo.TOL_NUM) for key in new)
+    assert all(ch._spans[key] is span for key, span in warm.items())
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+@pytest.mark.parametrize("model", ["fib", "d3"])
+def test_segment_program_restarts_after_warm_cache(model, alpha, request, monkeypatch):
+    # the session fixtures' channel holds spans built at the default
+    # KRYLOV_MAX before the restart count runs, in any test order
+    ts = request.getfixturevalue(f"{model}_ts")
+    state = request.getfixturevalue(f"{model}_state")
+    mpo.renyi_replica(ts, state, 14, 15, alpha)
+    spans = state.transfer_stack(ts).replica_channel(alpha)._spans
+    assert any(key[2] == mpo.KRYLOV_MAX for key in spans)
+    test_segment_program_restarts(model, alpha, request, monkeypatch)

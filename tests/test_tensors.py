@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -22,6 +23,42 @@ def test_pentagon_all_models(name):
         if key.startswith("bialgebra") and ts.is_weak():
             continue
         assert val < 1e-12, (key, val)
+
+
+def _naive_exchange(ts):
+    """The two exchange residuals with each right-hand side one naive
+    three-operand einsum: the reference for `verify_pentagon`'s pairwise
+    contractions."""
+    R, V, Rp, Vp, U = ts.rho_tensor, ts.v_tensor, ts.rho_primed, ts.v_primed, ts.gate
+    rhs = np.einsum("ikwy,acxw,kcbj->abijxy", V, R, U)
+    rhsp = np.einsum("iack,cbxw,kjwy->abijxy", U, Rp, Vp)
+    return {"exchange": float(np.abs(np.einsum("abwy,ijxw->abijxy", R, V) - rhs).max()),
+            "exchange-primed": float(np.abs(np.einsum("ijxw,abwy->abijxy", Vp, Rp)
+                                            - rhsp).max())}
+
+
+def _perturbed_tensors(ts, seed):
+    """`ts` with seeded noise on the gate and the four rho / v tensors."""
+    rng = np.random.default_rng(seed)
+
+    def noisy(a):
+        return a + 0.1 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
+
+    return dataclasses.replace(ts, gate=noisy(ts.gate), rho_tensor=noisy(ts.rho_tensor),
+                               v_tensor=noisy(ts.v_tensor), rho_primed=noisy(ts.rho_primed),
+                               v_primed=noisy(ts.v_primed))
+
+
+@pytest.mark.parametrize("seed,name", list(enumerate(ZOO_NAMES)))
+def test_exchange_residuals_match_naive_einsum(seed, name):
+    ts = build_tensors(zoo.model(name))
+    perturbed = _perturbed_tensors(ts, seed)
+    for case in (ts, perturbed):
+        new, old = verify_pentagon(case), _naive_exchange(case)
+        for key, val in old.items():
+            assert abs(new[key] - val) <= 1e-12 * max(1.0, val), (key, new[key], val)
+            if case is perturbed:
+                assert val > 1e-3, (key, val)      # the noise reaches both identities
 
 
 def test_pentagon_explicit_twisted_perm_table():
