@@ -619,41 +619,42 @@ class ReplicaChannel:
             step = self._steps[key] = self._build(*key)
         return step
 
-    def power(self, cell, reps, vec, transpose=False):
+    def power(self, cell, reps, vec):
         """(x, s) with C^reps vec = e^s x, |x| = 1, for C the map of one
-        (rho, v) cell between its v columns (C^T if `transpose`).  A cell that
-        keeps the pairing is one r x r matrix per leg, taken to its power; a
-        cell that switches it is restricted to the Krylov span of `vec`."""
+        (rho, v) cell that keeps the pairing, between its v columns: one
+        r x r matrix per leg, taken to its power."""
         rho, v = cell
+        if rho[1] != v[1]:
+            raise ValueError("power takes a cell that keeps the pairing")
         if reps == 0:
             return _unit(vec)
-        if rho[1] == v[1]:
-            Mt = self._overlap(v, rho) @ self._overlap(rho, v)
-            P, s = _matrix_power(Mt.T if transpose else Mt, reps)
-            vec, s_unit = _unit(self._same(P)(vec))
-            return vec, self.alpha * s + s_unit
-        return _krylov_power(self._cell_map(cell, transpose), _Span(vec), reps)
+        Mt = self._overlap(v, rho) @ self._overlap(rho, v)
+        P, s = _matrix_power(Mt, reps)
+        vec, s_unit = _unit(self._same(P)(vec))
+        return vec, self.alpha * s + s_unit
 
     def ramp(self, cell, reps, transpose=False):
-        """`power` of a pairing-switching cell on its ramp's start, one step
-        from the right boundary, step("R", v)(start()), or with `transpose`
-        from the left one, left(rho).  That start depends on the cell alone,
-        so its Arnoldi span is kept, per (cell, direction, KRYLOV_MAX,
-        TOL_NUM), and `_krylov_power` extends it on demand."""
-        key = (cell, transpose, KRYLOV_MAX, TOL_NUM)
-        span = self._spans.get(key)
-        if span is None:
-            rho, v = cell
-            start = self.step(v, rho, transpose=True)(self.left(rho)) if transpose \
-                else self.step("R", v)(self.start())
-            span = self._spans[key] = _Span(start)
-        return _krylov_power(self._cell_map(cell, transpose), span, reps)
-
-    def _cell_map(self, cell, transpose):
-        """C (or C^T) of one (rho, v) cell, from and to its v basis."""
+        """(x, s) with C^reps b = e^s x, |x| = 1, for C the map of one
+        pairing-switching (rho, v) cell between its v columns and b its ramp's
+        start, one step from the right boundary, step("R", v)(start()), or
+        with `transpose` (C^T) from the left one, left(rho).  That start
+        depends on the cell alone, so its Arnoldi span is kept, per (cell,
+        direction, KRYLOV_MAX, TOL_NUM), and `_krylov_power` extends it on
+        demand.  A span that fills KRYLOV_MAX without closing is not kept: it
+        is the largest a span gets, and every run past it restarts anyway."""
         rho, v = cell
         fwd, back = self.step(v, rho, transpose), self.step(rho, v, transpose)
-        return (lambda c: fwd(back(c))) if transpose else (lambda c: back(fwd(c)))
+        cell_map = (lambda c: fwd(back(c))) if transpose else (lambda c: back(fwd(c)))
+        key = (cell, transpose, KRYLOV_MAX, TOL_NUM)
+        if key not in self._spans:
+            start = self.step(v, rho, transpose=True)(self.left(rho)) if transpose \
+                else self.step("R", v)(self.start())
+            self._spans[key] = _Span(start)
+        self._spans[key].extend(cell_map, reps)
+        if len(self._spans[key].basis) == KRYLOV_MAX:
+            # handed over without a local name, so a restart frees it
+            return _krylov_power(cell_map, self._spans.pop(key), reps)
+        return _krylov_power(cell_map, self._spans[key], reps)
 
     def _overlap(self, src, dst):
         """M^T of a same-pairing step src -> dst, the per-leg (r1, r2) matrix."""
@@ -885,8 +886,8 @@ def _replica_entropy(ts, state, t, alpha, program) -> float:
     h = float((np.log(tr.real) + log_scale) / (1 - alpha))
     # H_alpha of a normalized state is at most the log of its open legs'
     # dimension; beyond it the trace is the round-off of a vanishing one
-    h_max = (program.count(("rho", True)) * math.log(ts.d_rho)
-             + program.count(("v", True)) * math.log(ts.d_v))
+    h_max = sum(np.log(ts.d_rho if kind == "rho" else ts.d_v) for kind, is_open in program
+                if is_open)
     if h > h_max + TOL_NUM * max(1.0, h_max):
         raise FloatingPointError(f"replica entropy {h:.3e} exceeds the bound {h_max:.3e} "
                                  "of a normalized state")

@@ -169,6 +169,15 @@ def test_segment_memory_in_v_basis(d3_ts, d3_state):
     assert peak < 8 * 2 ** 20
 
 
+def test_segment_memory_in_v_basis_on_cold_channel(d3_ts):
+    # the session state's channel may hold every step, buffer and span from
+    # earlier tests; a fresh state builds them under the same bound
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    state = mpo.MPSState.product(plus, plus)
+    test_segment_memory_in_v_basis(d3_ts, state)
+    assert state.transfer_stack(d3_ts).replica_channel(3)._spans
+
+
 @pytest.mark.parametrize("model", ["fib", "d3"])
 def test_replica_matches_full_slot_reference(model, request):
     # the channel on its live slot values against the full-slot reference:
@@ -281,13 +290,39 @@ def test_spans_are_keyed_on_krylov_constants(name, value, fib_ts, monkeypatch):
     point = (14, 30)
     _scan_point(fib_ts, state, 3, point)
     warm = dict(ch._spans)
+    sizes = {key: len(span.basis) for key, span in warm.items()}
     monkeypatch.setattr(mpo, name, value)
+    used = []
+    krylov = mpo._krylov_power
+    monkeypatch.setattr(mpo, "_krylov_power",
+                        lambda cell, span, reps: used.append(span) or krylov(cell, span, reps))
     h = _scan_point(fib_ts, state, 3, point)
+    assert len(used) == len(warm)
+    assert not any(span is warm_span for span in used for warm_span in warm.values())
     assert h == _scan_point(fib_ts, mpo.MPSState.product(*STATES["fib"]), 3, point)
-    new = set(ch._spans) - set(warm)
-    assert len(new) == len(warm)
-    assert all(key[2:] == (mpo.KRYLOV_MAX, mpo.TOL_NUM) for key in new)
-    assert all(ch._spans[key] is span for key, span in warm.items())
+    # spans that fill KRYLOV_MAX = 3 without closing are not kept
+    assert all(key[2:] == (mpo.KRYLOV_MAX, mpo.TOL_NUM) for key in set(ch._spans) - set(warm))
+    assert all(ch._spans[key] is span and len(span.basis) == sizes[key]
+               for key, span in warm.items())
+
+
+def test_full_span_is_not_kept(fib_ts, monkeypatch):
+    # a ramp span that fills KRYLOV_MAX without closing is dropped, and a
+    # later point rebuilds it to the same bits
+    monkeypatch.setattr(mpo, "KRYLOV_MAX", 4)
+    state = mpo.MPSState.product(*STATES["fib"])
+    ch = state.transfer_stack(fib_ts).replica_channel(2)
+    long, short = (14, 30), (3, 2)
+    values = [_scan_point(fib_ts, state, 2, long)]
+    assert not ch._spans
+    values.append(_scan_point(fib_ts, state, 2, short))
+    # each ramp of the short block powers one cell: two vectors, kept
+    assert [len(span.basis) for span in ch._spans.values()] == [2, 2]
+    values.append(_scan_point(fib_ts, state, 2, long))
+    assert not ch._spans
+    fresh = [_scan_point(fib_ts, mpo.MPSState.product(*STATES["fib"]), 2, point)
+             for point in (long, short)]
+    assert values == fresh + fresh[:1]
 
 
 @pytest.mark.parametrize("alpha", [2, 3])
