@@ -48,3 +48,5 @@ from .tensors import (
 )
 
 __version__ = "0.1.0"
+# the oracle's default ring size cap, here so the CLI reads it without the oracle
+DEFAULT_AMPLITUDE_CAP = 2 * 10 ** 4

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, mpo, oracle, zoo
+from . import DEFAULT_AMPLITUDE_CAP, __version__, mpo, zoo
 from .algebra import (AlgebraSpecError, AxiomError, ExponentCapError, TOL_ALG,
                       _complex_array, algebra_to_dict, check_axioms, exponent,
                       load_algebra)
@@ -153,6 +153,7 @@ def _initial_state(spec, d):
 
 def _dense_initial_state(circ, spec, d):
     """The product state `spec` on every site of the dense ring `circ`."""
+    from . import oracle
     state = _initial_state(spec, d)
     rho_vec = state.rho_site.reshape(-1)
     v_vec = state.v_site.reshape(-1)
@@ -392,6 +393,7 @@ def cmd_run(args) -> int:
 def _with_oracle_dev(ts, config, q, rows, L):
     """`rows` with an oracle-vs-engine deviation column, empty for the points
     that do not fit densely."""
+    from . import oracle
     circ = oracle.DenseCircuit.from_tensor_set(ts, L=L)
     psi0 = _dense_initial_state(circ, config["initial_state"], ts.d_v)
     out_rows = []
@@ -419,7 +421,8 @@ def _with_oracle_dev(ts, config, q, rows, L):
 
 
 def cmd_oracle(args) -> int:
-    cap = oracle.DEFAULT_AMPLITUDE_CAP if args.cap is None else args.cap
+    from . import oracle
+    cap = DEFAULT_AMPLITUDE_CAP if args.cap is None else args.cap
     try:
         ts = build_tensors(_load_model(args.model, tol=args.tol))
         O = _single_site_operator(args.O, ts.d_v)
@@ -446,6 +449,7 @@ def cmd_revival(args) -> int:
         pair = _load_model(args.model, tol=args.tol)
         eta, nu = exponent(pair.algebra, cap=64 if args.cap is None else args.cap)
         if args.dense:
+            from . import oracle
             circ = oracle.DenseCircuit.from_tensor_set(build_tensors(pair), L=args.L)
             t_min, phase = oracle.minimal_period(circ, eta=eta)
     except (ValueError, OSError, MemoryError, ExponentCapError) as exc:
@@ -484,7 +488,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--cap", type=int, default=None,
                         help="search cap (revival, default 64) or amplitude cap "
-                             f"(oracle, default {oracle.DEFAULT_AMPLITUDE_CAP})")
+                             f"(oracle, default {DEFAULT_AMPLITUDE_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check axioms, tensor identities, gate properties")

@@ -11,6 +11,11 @@ the periodic-chain evolution operator at its special times.
 Column programs: a quench quantity is <K_L| C_0 C_1 ... C_{2n-1} |K_R> over
 column transfer matrices alternating rho, v, with a local operator on some
 columns (`_columns`; at t = 0 the columns are the state's site transfers).
+The traced cells outside the operators depend only on the state and the
+tensor set; the boundaries after k of them are kept at each k asked for
+(`TransferStack.boundary`; at t = 0 the environments): a point costs the
+cells between its operators, and a state each boundary cell once along a
+time grid.
 Columns are applied to the running vector, not built: a traced column is
 one cached dense matrix, and a column with an operator is contracted as ket
 half, operator, conjugate ket half on the reshaped vector
@@ -97,17 +102,18 @@ def _chain(left, sites, right):
     return np.einsum(*operands, optimize=True)
 
 
-def _columns(left, apply, n_cells, ops, right) -> complex:
-    """<left| C_0 C_1 ... C_{2n-1} |right>, where apply(kind, ops.get(c), vec)
-    returns C_c @ vec.
+def _columns(boundary, apply, n_cells, ops) -> complex:
+    """<K_L| C_0 C_1 ... C_{2n-1} |K_R>, where apply(kind, ops.get(c), vec)
+    returns C_c @ vec and boundary(side, k) is the boundary after k cells.
 
-    Kinds alternate rho, v from column 0; the columns act on `right` one at
-    a time, the last one first.
+    Kinds alternate rho, v from column 0; only the cells from the first key
+    of `ops` to the last are stepped, one column at a time, the last first.
     """
-    vec = right
-    for c in reversed(range(2 * n_cells)):
+    first, last = min(ops) // 2, max(ops) // 2
+    vec = boundary("R", n_cells - 1 - last)
+    for c in reversed(range(2 * first, 2 * last + 2)):
         vec = apply("rho" if c % 2 == 0 else "v", ops.get(c), vec)
-    return complex(left @ vec)
+    return complex(boundary("L", first) @ vec)
 
 
 # -- states -------------------------------------------------------------------------
@@ -241,6 +247,7 @@ class TransferStack:
         self.K_R = np.einsum("x,X,nN->xXnN", u, u.conj(), lamR).reshape(-1)
         self._factors = {}
         self._channels = {}
+        self._kept = {"L": {}, "R": {}}
 
     def _pair(self, ket, bra):
         """sum_a ket[a] (x) bra[a] in the cut layout."""
@@ -266,6 +273,18 @@ class TransferStack:
                             axes=([3, 4], [1, 3]))          # [a, Y, M, x, n]
         out = np.tensordot(K, half, axes=([0, 3, 4], [0, 3, 4]))   # [y, m, Y, M]
         return out.transpose(0, 2, 1, 3).reshape(-1)
+
+    def boundary(self, side, k):
+        """<K_L| (T_rho T_v)^k (side "L") or (T_rho T_v)^k |K_R> ("R"), kept at
+        k; stepped on from the largest kept k below, so never order-dependent."""
+        kept, T = self._kept[side], self._traced
+        if k not in kept:
+            j = max((j for j in kept if j < k), default=0)
+            vec = kept.get(j, self.K_L if side == "L" else self.K_R)
+            for _ in range(k - j):
+                vec = vec @ T["rho"] @ T["v"] if side == "L" else T["rho"] @ (T["v"] @ vec)
+            kept[k] = vec
+        return kept[k]
 
     def open(self, kind):
         """Column `kind` with its physical legs open: [left group, bra, ket,
@@ -400,14 +419,14 @@ def heisenberg_mpo(ts, O, t, position=0.0) -> HeisenbergMPO:
 
 def _state_columns(state: MPSState, n_cells, ops) -> complex:
     """A t = 0 program over the state's site transfers, normalized by the
-    same program without operators."""
-    lam_l, lam_r = state.environments()
+    same program with its operators removed; the environments are the boundaries."""
+    env = dict(zip("LR", state.environments()))
 
     def apply(kind, op, vec):
         return state.site_transfer(kind, op) @ vec
 
-    return (_columns(lam_l, apply, n_cells, ops, lam_r)
-            / _columns(lam_l, apply, n_cells, {}, lam_r))
+    return (_columns(lambda side, k: env[side], apply, n_cells, ops)
+            / _columns(lambda side, k: env[side], apply, n_cells, dict.fromkeys(ops)))
 
 
 def expectation(ts, O, t, state: MPSState, x=0.0) -> complex:
@@ -421,7 +440,7 @@ def expectation(ts, O, t, state: MPSState, x=0.0) -> complex:
     if n == 0:
         return _state_columns(state, 1, {1 if leg == "v" else 0: O})
     st = state.transfer_stack(ts)
-    return _columns(st.K_L, st.apply, n, {2 * n - 1 if leg == "v" else 0: O}, st.K_R)
+    return _columns(st.boundary, st.apply, n, {2 * n - 1 if leg == "v" else 0: O})
 
 
 def two_point(ts, O, O2, x, t, state: MPSState, connected=False) -> complex:
@@ -439,7 +458,7 @@ def two_point(ts, O, O2, x, t, state: MPSState, connected=False) -> complex:
         val = _state_columns(state, x + 2, {1: O, 2 * x + 2: O2})
     else:
         st = state.transfer_stack(ts)
-        val = _columns(st.K_L, st.apply, 2 * t + x, {4 * t - 1: O, 2 * x: O2}, st.K_R)
+        val = _columns(st.boundary, st.apply, 2 * t + x, {4 * t - 1: O, 2 * x: O2})
     if not connected:
         return val
     e1 = expectation(ts, O, t, state, x=0.0)
@@ -828,7 +847,10 @@ def _krylov_power(cell, span, reps):
             H = span.H[:applied + 1, :applied + 1].copy()
             H[:, applied] = 0
         P, s = _matrix_power(H, applied)
-        vec, s_unit = _unit(sum(c * q for c, q in zip(P[:, 0], span.basis)))
+        vec, term = np.zeros_like(span.basis[0]), np.empty_like(span.basis[0])
+        for c, q in zip(P[:, 0], span.basis):     # sum()'s start and order, in place
+            vec += np.multiply(c, q, out=term)
+        vec, s_unit = _unit(vec)
         log_scale += s + s_unit
         reps -= applied
         if not reps:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_AMPLITUDE_CAP = 2 * 10 ** 4
+from . import DEFAULT_AMPLITUDE_CAP
+
 DENSE_U_CAP = 256
 COLUMN_BLOCK = 2 ** 20        # amplitudes per block of basis columns in a trace
 GEMM_ROWS = 2 ** 12           # rows per GEMM of a right-end gate

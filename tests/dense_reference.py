@@ -30,8 +30,12 @@ def cell(st):
 
 
 def normalization(st, t) -> complex:
-    """<K_L| C_0 ... C_{2n-1} |K_R> with no operator: 1 on a solvable state."""
-    return mpo._columns(st.K_L, st.apply, mpo._half_steps(t), {}, st.K_R)
+    """<K_L| C_0 ... C_{2n-1} |K_R> with no operator, stepped one column at a
+    time from K_R: 1 on a solvable state."""
+    vec = st.K_R
+    for _ in range(mpo._half_steps(t)):
+        vec = st.T("rho") @ (st.T("v") @ vec)
+    return complex(st.K_L @ vec)
 
 
 def heisenberg_dense(hm):

@@ -310,10 +310,11 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "unused.json").exists()
 
 
-@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+@pytest.mark.parametrize("module", ["scipy", "jsonschema", "hopfbrick.oracle"])
 def test_cli_import_leaves_module_out(module):
     # scipy is a test-only dependency: the library must not import it;
-    # jsonschema is imported only when load_algebra reads a spec
+    # jsonschema is imported only when load_algebra reads a spec, and the
+    # oracle only by the commands and options that run it
     code = f"import sys, hopfbrick.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

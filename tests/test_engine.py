@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 import warnings
@@ -447,6 +448,88 @@ def test_operator_column_apply_matches_dense(quench_case):
         for o in (op, None):
             ref = column(st, kind, o) @ vec
             assert np.linalg.norm(st.apply(kind, o, vec) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _quench_point(ts, state, ops, point):
+    if point[0] == "expectation":
+        _, k, x, t = point
+        return mpo.expectation(ts, ops[k], t, state, x=x)
+    _, x, t = point
+    return mpo.two_point(ts, ops[0], ops[-1], x, t, state, connected=True)
+
+
+QUENCH_GRID = ([("expectation", k, x, t) for k in (0, -1) for x in (0.0, 0.5)
+                for t in np.arange(0, 6.5, 0.5)]
+               + [("two_point", x, t) for x in range(5) for t in range(4)])
+
+
+@pytest.mark.parametrize("case", ["fib", "mps0"])
+def test_quench_grid_is_bitwise_fresh(case, fib_ts, d3_ts, monkeypatch):
+    # one state's boundaries answer a shuffled grid, on both legs, with the
+    # bits of a fresh state at every point, and only the requested cell
+    # counts are kept
+    ts, ops = (fib_ts, E_OPS) if case == "fib" else (d3_ts, [np.diag([1.0, 0]), np.diag([0, 1.0])])
+    fresh = ((lambda: mpo.MPSState.product([0, 0, 1], [0, 0, 1])) if case == "fib"
+             else (lambda: _seeded_mps(0)))
+    asked = {"L": set(), "R": set()}
+    monkeypatch.setattr(mpo.TransferStack, "boundary",
+                        lambda self, side, k, method=mpo.TransferStack.boundary:
+                        asked[side].add(k) or method(self, side, k))
+    state = fresh()
+    order = np.random.default_rng(3).permutation(len(QUENCH_GRID))
+    cached = {QUENCH_GRID[i]: _quench_point(ts, state, ops, QUENCH_GRID[i]) for i in order}
+    st = state.transfer_stack(ts)
+    assert {side: set(kept) for side, kept in st._kept.items()} == asked
+    assert max(asked["L"]) == max(asked["R"]) == 11
+    for point, value in cached.items():
+        assert _quench_point(ts, fresh(), ops, point) == value, point
+
+
+def test_boundaries_kept_per_requested_count(fib_ts):
+    # a single late point keeps one vector per side, not one per cell; the
+    # boundaries after no cell are K_L and K_R themselves
+    state = mpo.MPSState.product([0, 0, 1], [0, 0, 1])
+    st = state.transfer_stack(fib_ts)
+    assert abs(mpo.expectation(fib_ts, np.eye(3), 1000, state) - 1) < 1e-9
+    assert list(st._kept["L"]) == [1999] and list(st._kept["R"]) == [0]
+    assert st.boundary("R", 0) is st.K_R
+    assert abs(mpo.expectation(fib_ts, np.eye(3), 1000, state, x=0.5) - 1) < 1e-9
+    assert sorted(st._kept["L"]) == sorted(st._kept["R"]) == [0, 1999]
+
+
+def test_boundaries_are_per_state_and_tensor_set(fib_ts):
+    # a stack never answers with another state's or tensor set's boundaries
+    vectors = [([0, 0, 1], [0, 0, 1]), ([0, 1, 0], [1, 0, 0])]
+    states = [mpo.MPSState.product(*vecs) for vecs in vectors]
+    other_ts = dataclasses.replace(fib_ts)
+    warm = [mpo.expectation(fib_ts, E_OPS[0], t, states[0], x=0.5) for t in (2.5, 3)]
+    stacks = [st.transfer_stack(ts) for ts in (fib_ts, other_ts) for st in states]
+    assert len({id(kept) for s in stacks for kept in s._kept.values()}) == 8
+    assert all(not kept for s in stacks[1:] for kept in s._kept.values())
+    for ts in (fib_ts, other_ts):
+        for vecs, state in zip(vectors, states):
+            for t in (2.5, 3):
+                assert (mpo.expectation(ts, E_OPS[0], t, state, x=0.5)
+                        == mpo.expectation(ts, E_OPS[0], t, mpo.MPSState.product(*vecs), x=0.5))
+    assert warm != [mpo.expectation(fib_ts, E_OPS[0], t, states[1], x=0.5) for t in (2.5, 3)]
+    assert not np.array_equal(stacks[0].boundary("R", 5), stacks[1].boundary("R", 5))
+
+
+@pytest.mark.parametrize("x,t", [(4, 1), (2, 1), (5, 2), (1, 1), (0, 2)])
+def test_two_point_matches_dense_program(quench_case, x, t):
+    # O on column 4t - 1, O2 on column 2x, either one nearer the right
+    # boundary; the reference is the full program of dense columns
+    ts, state = quench_case
+    st = state.transfer_stack(ts)
+    rng = np.random.default_rng(x + 10 * t)
+    O, O2 = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (ts.d_v, ts.d_rho))
+    ops = {4 * t - 1: O, 2 * x: O2}
+    ref = st.K_L
+    for c in range(2 * (2 * t + x)):
+        ref = ref @ column(st, "rho" if c % 2 == 0 else "v", ops.get(c))
+    ref = complex(ref @ st.K_R)
+    assert abs(mpo.two_point(ts, O, O2, x, t, state) - ref) <= 1e-12 * max(1.0, abs(ref))
+
 
 def test_saturation_onset_l20(fib_ts, fib_state):
     l = 20
