@@ -19,7 +19,8 @@ its point); 2 unreadable or invalid input: an unknown or malformed model
 the wrong JSON type (every subcommand; one error line, no traceback; `run`
 checks operators per point), a malformed quantity entry, an empty grid or
 one of more than GRID_POINTS_MAX points (run, before any CSV is written) or,
-for oracle, a ring over the amplitude cap.
+for oracle, a ring over the amplitude cap or a --t that is not a non-negative
+multiple of 1/2, and for oracle and revival --dense, a ring with no sites.
 """
 
 from __future__ import annotations
@@ -428,6 +429,8 @@ def cmd_oracle(args) -> int:
         O = _single_site_operator(args.O, ts.d_v)
         circ = oracle.DenseCircuit.from_tensor_set(ts, L=args.L, amplitude_cap=cap)
         psi0 = _dense_initial_state(circ, args.state, ts.d_v)
+        if not (args.t >= 0 and (2 * args.t).is_integer()):
+            raise ValueError(f"--t {args.t} is not a non-negative multiple of 1/2")
         times = _grid({"start": 0.0, "stop": args.t, "step": 0.5})
     except (ValueError, OSError, MemoryError) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)

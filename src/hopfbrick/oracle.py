@@ -10,9 +10,10 @@ sites carry v-legs and odd sites rho-legs.  A full period applies the odd
 layer (pairs (2j-1, 2j), wrapping) and then the even layer (pairs (2j, 2j+1)).
 
 A state is a vector of d**n amplitudes or a block (d**n, k) of k state
-columns; every gate is one matmul on a reshaped view (`_apply_pair_op`), so a
-block costs one pass per layer.  Traces push the subspace basis through in column blocks of
-at most `COLUMN_BLOCK` amplitudes.
+columns.  A layer is one cyclic walk over the sites (`_walk`): each gate is one
+GEMM that also moves its two sites to the back of the array, so after the walk
+the sites are in order again; a block goes through the same GEMMs.  Traces push
+the subspace basis through in column blocks of at most `COLUMN_BLOCK` amplitudes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from . import DEFAULT_AMPLITUDE_CAP
 
 DENSE_U_CAP = 256
 COLUMN_BLOCK = 2 ** 20        # amplitudes per block of basis columns in a trace
-GEMM_ROWS = 2 ** 12           # rows per GEMM of a right-end gate
 
 
 @dataclass
@@ -49,6 +49,8 @@ class DenseCircuit:
             raise ValueError("gate must be a d^2 x d^2 matrix")
         if self.sites is not None and not self.obc:
             raise ValueError("explicit site count is only for open chains")
+        if self.L < 1 or self.n_sites < 1:
+            raise ValueError(f"a chain needs at least one site (L = {self.L}, sites = {self.n_sites})")
         if self.d ** self.n_sites > self.amplitude_cap:
             raise MemoryError(f"Hilbert dimension {self.d ** self.n_sites} exceeds cap")
 
@@ -84,34 +86,6 @@ def basis_string_state(circuit: DenseCircuit, labels) -> np.ndarray:
     return product_state(circuit, [eye[i] for i in labels])
 
 
-def _apply_pair_op(psi, op, p, n, d):
-    """Apply a two-site operator on sites (p, p+1 mod n) of a state or column block.
-
-    The gate is one matmul over the d^p blocks (d^2, rest) of the state.  At
-    the right end of the chain rest is below d^2, and those would be d^p tiny
-    products: there the gate is one 2-D GEMM of the rows (d^2 rest) with
-    op (x) 1_rest instead.  The wrapping pair (n-1, 0) is one 2-D GEMM on the
-    transposed view whose rows are its two sites.
-    """
-    dd = d * d
-    if p == n - 1:
-        # [site 0, middle, site n-1, columns], gate rows (site n-1, site 0)
-        x = psi.reshape(d, -1, d, psi.size // d ** n)
-        out = op @ x.transpose(2, 0, 1, 3).reshape(dd, -1)
-        return out.reshape(d, d, x.shape[1], x.shape[3]).transpose(1, 2, 0, 3).reshape(psi.shape)
-    rest = psi.size // d ** (p + 2)
-    if rest >= dd:
-        return np.matmul(op, psi.reshape(d ** p, dd, rest)).reshape(psi.shape)
-    # in slabs of rows: one GEMM over all d^p rows lets threaded BLAS take
-    # working memory of the state's size
-    x = psi.reshape(d ** p, dd * rest)
-    gate = np.kron(op.T, np.eye(rest))
-    out = np.empty(x.shape, dtype=np.result_type(x, gate))
-    for i in range(0, len(x), GEMM_ROWS):
-        np.matmul(x[i:i + GEMM_ROWS], gate, out=out[i:i + GEMM_ROWS])
-    return out.reshape(psi.shape)
-
-
 def apply_layer(circuit: DenseCircuit, psi, layer) -> np.ndarray:
     """Apply one brickwork layer: 'odd' = pairs (2j-1, 2j), 'even' = (2j, 2j+1)."""
     return _apply_gates(circuit, psi, circuit.gate, layer)
@@ -119,24 +93,37 @@ def apply_layer(circuit: DenseCircuit, psi, layer) -> np.ndarray:
 
 def _apply_gates(circuit: DenseCircuit, psi, op, layer) -> np.ndarray:
     """Apply the two-site `op` on every pair of a layer (the pairs are disjoint)."""
-    n, d = circuit.n_sites, circuit.d
-    for p in _layer_pairs(circuit, layer):
-        psi = _apply_pair_op(psi, op, p, n, d)
-    return psi
+    return _walk(psi, op, _layer_pairs(circuit, layer), circuit.n_sites, circuit.d)
+
+
+def _walk(psi, op, starts, n, d) -> np.ndarray:
+    """Apply `op` on the disjoint pairs (p, p+1 mod n), p in `starts`, by one cyclic walk.
+
+    The sites at the front of the array move to its back in turn: a gate's pair
+    by one GEMM on the view (pair, rest), whose output (rest, pair) has the pair
+    at the back, and a site no gate covers by one transposed copy.  If a gate
+    wraps (n-1, 0), site 0 first moves behind site n-1.  The column axis of a
+    (d**n, k) block ends at the front, and one last copy puts it and site 0 back.
+    """
+    cols = psi.size // d ** n
+    shift = int(n - 1 in starts)
+    x = psi.reshape(d ** shift, -1, cols).transpose(1, 0, 2).reshape(-1)
+    i = 0
+    while i < n:
+        gate = (i + shift) % n in starts
+        x = x.reshape(d ** (1 + gate), -1).T      # a view: no name keeps the old x alive
+        x = x @ op.T if gate else np.ascontiguousarray(x)
+        i += 1 + gate
+    # [columns, sites shift .. n-1, sites 0 .. shift-1] back to site order
+    return x.reshape(cols, -1, d ** shift).transpose(2, 1, 0).reshape(psi.shape)
 
 
 def _layer_pairs(circuit: DenseCircuit, layer):
     """Start sites of the layer's gates; the pair (n-1, 0) wraps on the ring."""
-    n = circuit.n_sites
-    if layer == "odd":
-        pairs = list(range(1, n, 2))
-    elif layer == "even":
-        pairs = list(range(0, n, 2))
-    else:
+    if layer not in ("odd", "even"):
         raise ValueError("layer must be 'odd' or 'even'")
-    if circuit.obc:
-        pairs = [p for p in pairs if p + 1 < n]
-    return pairs
+    n = circuit.n_sites
+    return [p for p in range(layer == "odd", n, 2) if p + 1 < n or not circuit.obc]
 
 
 def _layer_sequence(steps) -> list:
@@ -286,7 +273,9 @@ def reduced_density_matrix(circuit, psi, n_keep, offset=0) -> np.ndarray:
 
 
 def oracle_renyi(circuit, psi0, l, t, alpha, offset=0) -> float:
-    """Renyi entropy of a 2l-site block of the evolved state."""
+    """Renyi entropy of a 2l-site block of the evolved state (integer alpha >= 2)."""
+    if not (alpha >= 2 and float(alpha).is_integer()):
+        raise ValueError(f"alpha must be an integer >= 2, got {alpha}")
     psit = evolve(circuit, psi0, t)
     rho = reduced_density_matrix(circuit, psit, 2 * l, offset=offset)
     vals = np.linalg.eigvalsh(rho)

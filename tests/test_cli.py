@@ -299,14 +299,21 @@ def test_revival_exponent_cap_exits_2_with_one_line(capsys):
     ["oracle", "zoo:fibonacci", "--O", "e9"],
     *(["run", f"run-{spec}"] for spec in MALFORMED_SPECS),
     ["revival", "zoo:fibonacci", "--L", "3", "--dense"],
+    ["oracle", "zoo:fibonacci", "--L", "0"],
+    ["oracle", "zoo:fibonacci", "--L", "-1"],
+    ["revival", "zoo:fibonacci", "--dense", "--L", "0"],
+    ["oracle", "zoo:fibonacci", "--L", "2", "--t", "-1"],
+    ["oracle", "zoo:fibonacci", "--L", "2", "--t", "0.3"],
 ], indirect=True)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
-    # an unknown model, state or operator, or a ring too large for the dense
-    # revival check, is one error line and exit code 2
+    # an unknown model, state or operator, a ring too large for the dense
+    # revival check, a ring with no sites or an oracle time off the
+    # half-integer grid is one error line and exit code 2, with nothing printed
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"{argv[0]} error:") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{argv[0]} error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not (tmp_path / "unused.json").exists()
 
 

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from hopfbrick import build_projectors, build_tensors, zoo
@@ -53,7 +54,7 @@ def test_fibonacci_two_gate_amplitudes(fib_ts):
     # the rotated pairs; the exact value is reproducible by a 4-gate product
     ref = psi0.copy()
     for p in [1, 3, 0, 2]:
-        ref = orc._apply_pair_op(ref, circ.gate, p, 4, 3)
+        ref = _pair_op_reference(ref, circ.gate, p, 4, 3)
     assert np.abs(psi1 - ref).max() < 1e-13
 
 
@@ -282,7 +283,7 @@ def test_amplitude_cap():
 
 def _pair_op_reference(psi, op, p, n, d):
     """The two-site gate as one batched matmul off the wrapping pair and a
-    tensordot on it: the reference for `oracle._apply_pair_op`."""
+    tensordot on it: the reference for the oracle's gate walk (`oracle._walk`)."""
     if p == n - 1:
         arr = psi.reshape((d,) * n + (-1,))
         out = np.tensordot(op.reshape(d, d, d, d), arr, axes=([2, 3], [n - 1, 0]))
@@ -302,6 +303,48 @@ def test_pair_gate_matches_reference(d, n, k):
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     op = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     for p in range(n):
-        out = orc._apply_pair_op(psi, op, p, n, d)
+        out = orc._walk(psi, op, [p], n, d)
         assert out.shape == psi.shape
         assert np.abs(out - _pair_op_reference(psi, op, p, n, d)).max() <= 1e-13, p
+
+
+@pytest.mark.parametrize("k", [None, 1, 3])
+@pytest.mark.parametrize("chain", ["ring", "open even", "open odd"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), half=st.integers(1, 4),
+       layer=st.sampled_from(["odd", "even"]), seed=st.integers(0, 2 ** 16))
+def test_layer_walk_matches_pair_reference(d, chain, half, layer, k, seed):
+    # a whole layer of a random non-unitary op on rings and on open chains of
+    # either parity, for a state, a (dim, 1) and a (dim, k) block; the op is
+    # scaled to spectral norm 1 so that after n/2 gates the entries are still
+    # O(1) and the absolute 1e-13 bounds a relative error
+    obc, n = chain != "ring", 2 * half - (chain == "open odd")
+    rng = np.random.default_rng(seed)
+    op = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    op /= np.linalg.norm(op, 2)
+    circ = orc.DenseCircuit(L=(n + 1) // 2, d=d, gate=np.eye(d * d), obc=obc,
+                            sites=n if obc else None)
+    shape = (d ** n,) if k is None else (d ** n, k)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out = orc._apply_gates(circ, psi, op, layer)
+    ref = psi
+    for p in range(layer == "odd", n, 2):
+        if p + 1 < n or not obc:
+            ref = _pair_op_reference(ref, op, p, n, d)
+    assert out.shape == psi.shape
+    assert np.abs(out - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("L,sites", [(0, None), (-1, None), (2, 0)])
+def test_chain_without_sites_is_refused(L, sites):
+    with pytest.raises(ValueError, match="at least one site"):
+        orc.DenseCircuit(L=L, d=2, gate=np.eye(4), obc=sites is not None, sites=sites)
+
+
+@pytest.mark.parametrize("alpha", [1, 0, 2.5, -3, float("nan"), float("inf")])
+def test_oracle_renyi_refuses_what_the_engine_refuses(fib_ts, alpha):
+    circ = orc.DenseCircuit.from_tensor_set(fib_ts, L=2)
+    psi0 = orc.basis_string_state(circ, [2, 2, 2, 2])
+    with pytest.raises(ValueError, match="alpha must be an integer >= 2"):
+        orc.oracle_renyi(circ, psi0, 1, 1, alpha)
+    assert orc.oracle_renyi(circ, psi0, 1, 1, 2.0) == orc.oracle_renyi(circ, psi0, 1, 1, 2)

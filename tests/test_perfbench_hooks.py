@@ -13,9 +13,11 @@ from importlib import import_module
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hopfbrick.cli  # noqa: F401  (loads every layer module)
 from hopfbrick import mpo
+from hopfbrick import oracle as orc
 from conftest import random_unitary
 
 SPANS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"),
@@ -67,3 +69,26 @@ def test_hooks_run_on_traced_points(fib_ts, d3_ts):
     # every wrapper is gone again
     assert mpo.expectation.__module__ == "hopfbrick.mpo"
     assert "perfbench" not in inspect.getsourcefile(mpo.MPSState.check_projector_invariance)
+
+
+@pytest.mark.parametrize("k", [None, 4])
+@pytest.mark.parametrize("t", [1, 2.5])
+def test_oracle_counters_see_every_layer(fib_ts, t, k):
+    # the layer counter wraps `oracle.apply_layer`: an evolve of a state or a
+    # (dim, k) block by t periods is 2t layers on d**n amplitudes, whatever
+    # the gate kernel inside the layer does
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"),
+                           run_name="perfbench_spans")
+    circ = orc.DenseCircuit.from_tensor_set(fib_ts, L=3)
+    dim = circ.d ** circ.n_sites
+    psi = np.ones(dim if k is None else (dim, k), dtype=complex)
+    tracer = spans["Tracer"]()
+    uninstall = spans["install"](tracer)
+    try:
+        out = orc.evolve(circ, psi, t)
+    finally:
+        uninstall()
+    assert out.shape == psi.shape
+    assert tracer.calls("oracle.evolve") == 1
+    assert tracer.counts["oracle.layers_applied"] == 2 * t
+    assert tracer.maxima["oracle.amplitudes_max"] == dim
