@@ -20,7 +20,9 @@ the wrong JSON type (every subcommand; one error line, no traceback; `run`
 checks operators per point), a malformed quantity entry, an empty grid or
 one of more than GRID_POINTS_MAX points (run, before any CSV is written) or,
 for oracle, a ring over the amplitude cap or a --t that is not a non-negative
-multiple of 1/2, and for oracle and revival --dense, a ring with no sites.
+multiple of 1/2, for oracle and revival --dense, a ring with no sites, and
+for run, an --oracle-check L that is not a positive integer or whose ring is
+over the amplitude cap (before the output directory is made).
 """
 
 from __future__ import annotations
@@ -326,6 +328,7 @@ def cmd_run(args) -> int:
         ts = build_tensors(pair)
         state = _initial_state(config["initial_state"], ts.d_v)
         resid = state.check_projector_invariance(pair)
+        circ = _oracle_ring(ts, args.oracle_check)
     except (ValueError, OSError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 2
@@ -346,6 +349,8 @@ def cmd_run(args) -> int:
         "tolerances": {"tol": args.tol},
         "files": [],
     }
+    if circ is not None:
+        psi0 = _dense_initial_state(circ, config["initial_state"], ts.d_v)
     for q, points in plans:
         if q["name"] == "otoc":
             extras = {"_V": _rand_unitary(ts.d_v, rng), "_W": _rand_unitary(ts.d_v, rng)}
@@ -366,8 +371,8 @@ def cmd_run(args) -> int:
         label = q.get("label", q["name"])
         path = out_dir / f"{label}.csv"
         fields = ["model", "quantity", "x", "t", "alpha", "l", "re", "im"]
-        if args.oracle_check and ts.d_rho == ts.d_v:
-            rows = _with_oracle_dev(ts, config, q, rows, int(args.oracle_check))
+        if circ is not None:
+            rows = _with_oracle_dev(ts, q, rows, circ, psi0)
             fields.append("oracle_dev")
         with path.open("w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
@@ -391,12 +396,32 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _with_oracle_dev(ts, config, q, rows, L):
-    """`rows` with an oracle-vs-engine deviation column, empty for the points
-    that do not fit densely."""
+def _oracle_ring(ts, L_text):
+    """The dense ring of `--oracle-check L`, built once per run; None without
+    the option or for a model with d_rho != d_v.  ValueError for an L that is
+    not a positive integer or a ring over the amplitude cap."""
+    if L_text is None:
+        return None
+    try:
+        L = int(L_text)
+    except ValueError:
+        raise ValueError(f"--oracle-check {L_text!r} is not a positive integer") from None
+    if L < 1:
+        raise ValueError(f"--oracle-check {L} is not a positive integer")
+    if ts.d_rho != ts.d_v:
+        return None
     from . import oracle
-    circ = oracle.DenseCircuit.from_tensor_set(ts, L=L)
-    psi0 = _dense_initial_state(circ, config["initial_state"], ts.d_v)
+    try:
+        return oracle.DenseCircuit.from_tensor_set(ts, L=L)
+    except MemoryError as exc:
+        raise ValueError(f"--oracle-check {L}: {exc}") from None
+
+
+def _with_oracle_dev(ts, q, rows, circ, psi0):
+    """`rows` with an oracle-vs-engine deviation column against the dense
+    ring `circ` from `psi0`, empty for the points that do not fit on it."""
+    from . import oracle
+    L = circ.L
     out_rows = []
     for row in rows:
         dev = ""

@@ -71,6 +71,7 @@ TOL_NUM = 1e-9
 MEMORY_CAP = 2 ** 26        # complex entries one engine intermediate may hold
 RANK_CUT = 1e-12            # relative singular-value cut of the column factors
 KRYLOV_MAX = 64             # basis vectors of one Arnoldi cycle before a restart
+REAL_FORM_MIN = 16          # smaller swap-closed blocks: the real form saves less than it costs
 
 
 def leg_of(x, t) -> str:
@@ -952,28 +953,52 @@ def _sectors(M):
     return sorted(sectors, key=lambda sec: sec[0])
 
 
+def _cell_spectrum(ts, state):
+    T_rho, T_v = map(state.transfer_stack(ts).T, ("rho", "v"))
+    d, D = ts.algebra.dim, state.bond_dim
+    swap = np.arange(len(T_rho)).reshape(d, d, D, D).transpose(1, 0, 3, 2).reshape(-1)
+    sectors = _sectors(T_rho.astype(bool) | T_v.astype(bool))
+    flat, sizes = np.concatenate(sectors), np.fromiter(map(len, sectors), int, len(sectors))
+    starts = np.cumsum(sizes) - sizes
+    lab = np.empty_like(flat)                           # the sector of each index
+    lab[flat] = np.repeat(np.arange(len(sectors)), sizes)
+    heads, image = flat[starts], np.minimum.reduceat(swap[flat], starts)
+    # 0 swap-closed, 1 / -1 pair member solved / not; 2 if round-off broke the symmetry
+    kind = np.where((lab[swap] == lab[image][lab]).all(), np.clip(image - heads, -1, 1), 2)
+    parts, groups = [(T_rho.diagonal() * T_v.diagonal())[heads[sizes == 1]]], {}
+    for k in np.flatnonzero((sizes > 1) & (kind >= 0)).tolist():
+        groups.setdefault((sizes[k], kind[k] == 0 and sizes[k] >= REAL_FORM_MIN), []).append(k)
+    for (n, real), ks in sorted(groups.items()):
+        idx = flat[starts[ks, None] + np.arange(n)]
+        B = T_rho[idx[:, :, None], idx[:, None, :]] @ T_v[idx[:, :, None], idx[:, None, :]]
+        if real:            # idx[k, loc[k, j]] = swap[idx[k, j]]: B[k][:, loc[k]] is B[k] P
+            loc = (swap[idx][:, :, None] == idx[:, None, :]).argmax(2)
+            R = np.take_along_axis(B.imag, loc[:, None, :], axis=2)
+            B = np.subtract(B.real, R, out=R)
+        vals = np.linalg.eigvals(B)
+        parts += [vals.ravel(), vals[kind[ks] == 1].conj().ravel()]
+    return np.concatenate(parts)
+
+
 def equilibration(ts, state):
     """(lambda_1, info): subleading transfer eigenvalue and decay data.
 
     Both columns are block diagonal on the `_sectors` of their joint exact
-    nonzero pattern, so the cell T_rho T_v is too; its spectrum is the union
-    of those of its diagonal blocks T_rho[s, s] T_v[s, s], the only ones
-    formed (dihedral-3 at bond 4: six blocks of 96 instead of one 576 x 576
-    matrix), and blocks of one size go to one batched `eigvals`.
+    nonzero pattern; `_cell_spectrum` forms only the cell blocks
+    B = T_rho[s, s] T_v[s, s], one batched `eigvals` per size and form.  A
+    column is sum K (x) conj K, so the ket <-> bra swap P of the cut layout
+    has P T P = conj T and maps sectors onto sectors.  A swap-closed block
+    of `REAL_FORM_MIN` or more is solved in its Hermitian basis, as the real
+    S B S^dag = Re B - Im B P, S = (i + P) / sqrt 2; of a pair s, P s, only
+    the one of smaller least index, its spectrum also conjugated.
+    Dihedral-3 at bond 4: four real 96 x 96 `eigvals` and one complex.
     lambda_1 is the largest-modulus eigenvalue strictly inside the unit
     circle, and the rate is -log of that modulus; among the eigenvalues
     within `TOL_NUM` of it, lambda_1 is the one with Im >= -TOL_NUM, then the
     largest real part, so it does not depend on the order of the sectors.
-    Equilibration of an L_A-cell block happens at
-    t* = L_A/2 + O(log 1/|l1|).
+    Equilibration of an L_A-cell block happens at t* = L_A/2 + O(log 1/|l1|).
     """
-    T_rho, T_v = map(state.transfer_stack(ts).T, ("rho", "v"))
-    by_size = {}
-    for sec in _sectors((T_rho != 0) | (T_v != 0)):
-        by_size.setdefault(len(sec), []).append(sec)
-    vals = np.concatenate([np.linalg.eigvals(T_rho[idx[:, :, None], idx[:, None, :]]
-                                             @ T_v[idx[:, :, None], idx[:, None, :]]).ravel()
-                           for idx in map(np.array, by_size.values())])
+    vals = _cell_spectrum(ts, state)
     radius = float(np.abs(vals).max())
     if abs(radius - 1.0) > 1e-6:
         raise FloatingPointError(f"transfer spectral radius {radius:.6f} != 1")

@@ -135,20 +135,24 @@ def _layer_sequence(steps) -> list:
 
 
 def evolve(circuit: DenseCircuit, psi, steps) -> np.ndarray:
-    """Evolve a state or a (dim, k) column block by `steps` periods."""
-    out = np.array(psi, dtype=complex)
+    """Evolve a state or a (dim, k) column block by `steps` periods.
+
+    No layer writes in place, so the input is not copied first; the result is
+    a new array (a copy of the input when no layer runs)."""
+    out = np.asarray(psi, dtype=complex)
     for layer in _layer_sequence(steps):
         out = apply_layer(circuit, out, layer)
-    return out
+    return out.copy() if np.may_share_memory(out, psi) else out
 
 
 def _evolve_back(circuit: DenseCircuit, psi, steps) -> np.ndarray:
-    """Apply the adjoint circuit (undo `steps` periods) to a state or column block."""
+    """Apply the adjoint circuit (undo `steps` periods) to a state or column
+    block; a new array, as from `evolve`."""
     adjoint = circuit.gate.conj().T
-    out = np.array(psi, dtype=complex)
+    out = np.asarray(psi, dtype=complex)
     for layer in reversed(_layer_sequence(steps)):
         out = _apply_gates(circuit, out, adjoint, layer)
-    return out
+    return out.copy() if np.may_share_memory(out, psi) else out
 
 
 def evolution_matrix(circuit: DenseCircuit, steps=1) -> np.ndarray:

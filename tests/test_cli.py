@@ -37,13 +37,16 @@ def write_malformed_spec(directory, name):
 @pytest.fixture
 def argv(request, tmp_path):
     """A CLI argument list; a `run` of `run-<spec>` gets that malformed spec
-    and a config naming it written to tmp_path."""
+    and a config naming it written to tmp_path, or a config of the zoo's
+    dihedral-3 when <spec> names no malformed spec."""
     argv = request.param
     if argv[0] == "run":
         spec = argv[1].removeprefix("run-")
-        write_malformed_spec(tmp_path, spec)
+        if spec in MALFORMED_SPECS:
+            write_malformed_spec(tmp_path, spec)
         (tmp_path / argv[1]).write_text(json.dumps({
-            "model": spec, "initial_state": "+",
+            "model": spec if spec in MALFORMED_SPECS else "zoo:dihedral-3",
+            "initial_state": "+",
             "quantities": [{"name": "expectation", "O": "e1", "t": [1]}]}))
     return argv
 
@@ -304,17 +307,21 @@ def test_revival_exponent_cap_exits_2_with_one_line(capsys):
     ["revival", "zoo:fibonacci", "--dense", "--L", "0"],
     ["oracle", "zoo:fibonacci", "--L", "2", "--t", "-1"],
     ["oracle", "zoo:fibonacci", "--L", "2", "--t", "0.3"],
+    *(["run", "run-d3.json", "--oracle-check", L] for L in ("0", "-1", "20", "1.5", "two")),
 ], indirect=True)
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     # an unknown model, state or operator, a ring too large for the dense
-    # revival check, a ring with no sites or an oracle time off the
-    # half-integer grid is one error line and exit code 2, with nothing printed
+    # revival check, a ring with no sites, an oracle time off the
+    # half-integer grid or an --oracle-check ring that is not a positive
+    # integer or is over the amplitude cap is one error line and exit code 2,
+    # with nothing printed or written
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"{argv[0]} error:") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not (tmp_path / "unused.json").exists()
+    assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("module", ["scipy", "jsonschema", "hopfbrick.oracle"])

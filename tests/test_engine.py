@@ -438,6 +438,111 @@ def test_lambda1_does_not_depend_on_sector_order(quench_case, monkeypatch):
     assert abs(lam1.real - upper.real.max()) < 1e-12
 
 
+@pytest.fixture(scope="module",
+                params=["fib", "d3"] + [f"mps{s}" for s in range(4)]
+                + [f"zoo:{name}" for name in sorted(zoo.MODELS)])
+def cell_case(request, fib_ts, fib_state, d3_ts, d3_state):
+    """(name, tensor set, state): the quench cases and a seeded product state
+    of every zoo model."""
+    name = request.param
+    if name.startswith("zoo:"):
+        ts = build_tensors(zoo.model(name[4:]))
+        rng = np.random.default_rng(3)
+        rho, v = (rng.normal(size=d) + 1j * rng.normal(size=d) for d in (ts.d_rho, ts.d_v))
+        return name, ts, mpo.MPSState.product(rho, v)
+    if name == "fib":
+        return name, fib_ts, fib_state
+    if name == "d3":
+        return name, d3_ts, d3_state
+    return name, d3_ts, _seeded_mps(int(name[3:]))
+
+
+def _ket_bra_swap(ts, state):
+    """Index map of the ket <-> bra swap (y, Y, m, M) -> (Y, y, M, m) of the cut layout."""
+    d, D = ts.algebra.dim, state.bond_dim
+    return np.arange(d * d * D * D).reshape(d, d, D, D).transpose(1, 0, 3, 2).reshape(-1)
+
+
+def _joint_sectors(st):
+    return mpo._sectors((st.T("rho") != 0) | (st.T("v") != 0))
+
+
+def test_columns_conjugate_under_the_ket_bra_swap(cell_case):
+    # a column is sum K (x) conj K: swapping its ket and bra halves conjugates
+    # it, with the exact same nonzero pattern; the values agree to round-off
+    # (complex products of a random state are not always rounded alike)
+    _, ts, state = cell_case
+    st = state.transfer_stack(ts)
+    swap = _ket_bra_swap(ts, state)
+    for kind in ("rho", "v"):
+        T = st.T(kind)
+        S = T[swap][:, swap]
+        assert np.array_equal(T != 0, S != 0), kind
+        assert np.abs(T.conj() - S).max() <= 4 * np.finfo(float).eps * np.abs(T).max(), kind
+
+
+def test_sectors_are_swap_closed_or_paired(cell_case):
+    name, ts, state = cell_case
+    swap = _ket_bra_swap(ts, state)
+    sectors = _joint_sectors(state.transfer_stack(ts))
+    closed = pairs = 0
+    for sec in sectors:
+        image = np.sort(swap[sec])
+        partners = [other for other in sectors if np.array_equal(other, image)]
+        assert len(partners) == 1, sec
+        if partners[0] is sec:
+            closed += 1
+        else:
+            pairs += 1
+    assert pairs % 2 == 0
+    # both kinds occur: Fibonacci |3> has 7 swap-closed sectors and 68 pairs,
+    # a bond-4 dihedral-3 MPS four closed sectors of 96 and one pair
+    if name == "fib":
+        assert (closed, pairs // 2) == (7, 68)
+    if name.startswith("mps"):
+        assert (closed, pairs // 2) == (4, 1)
+
+
+def _assert_same_spectrum(vals, C):
+    from scipy.optimize import linear_sum_assignment
+    dense = np.linalg.eigvals(C)
+    assert vals.shape == dense.shape
+    dist = np.abs(vals[:, None] - dense[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() < 1e-12
+
+
+@pytest.mark.parametrize("real_form_min", [mpo.REAL_FORM_MIN, 1])
+def test_cell_spectrum_equals_dense_eigvals(cell_case, real_form_min, monkeypatch):
+    # the real Hermitian-basis form of the swap-closed blocks (at 1:
+    # Fibonacci's small ones too) and one solve per conjugate pair give the
+    # dense cell's spectrum
+    _, ts, state = cell_case
+    monkeypatch.setattr(mpo, "REAL_FORM_MIN", real_form_min)
+    _assert_same_spectrum(mpo._cell_spectrum(ts, state), cell(state.transfer_stack(ts)))
+
+
+def test_cell_spectrum_when_the_pattern_breaks_the_swap_symmetry(quench_case, monkeypatch):
+    # one entry linking a swap-closed sector to one member of a pair, but not
+    # to its partner, breaks the swap symmetry of the nonzero pattern (as
+    # round-off could): every block is then solved as it stands, and the
+    # spectrum is still the cell's
+    ts, state = quench_case
+    state = mpo.MPSState(state.rho_site.copy(), state.v_site.copy())
+    st = state.transfer_stack(ts)
+    swap = _ket_bra_swap(ts, state)
+    sectors = _joint_sectors(st)
+    closed = next(s for s in sectors if np.array_equal(np.sort(swap[s]), s))
+    pair = next(s for s in sectors if swap[s].min() > s[0])
+    T_v = st.T("v").copy()
+    T_v[closed[0], pair[0]] = 1e-3
+    monkeypatch.setitem(st._traced, "v", T_v)
+    M = (st.T("rho") != 0) | (T_v != 0)
+    assert not np.array_equal(M, M[swap][:, swap])
+    monkeypatch.setattr(mpo, "REAL_FORM_MIN", 1)
+    _assert_same_spectrum(mpo._cell_spectrum(ts, state), cell(st))
+
+
 def test_operator_column_apply_matches_dense(quench_case):
     ts, state = quench_case
     st = state.transfer_stack(ts)

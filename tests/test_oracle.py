@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,28 @@ def test_otoc_on_odd_open_chain_matches_dense_matrices():
     for steps in (-1, 0.3):
         with pytest.raises(ValueError):
             orc._evolve_back(circ, psi, steps)
+
+
+def test_evolve_returns_a_new_array_without_copying_its_input():
+    # no layer writes in place, so the input is not copied before the first
+    # layer: one layer on the 12-qutrit ring holds two states at its peak
+    # (input copy included it held three); with no layer to run, the result
+    # is still a copy, never the caller's array
+    ts = build_tensors(zoo.model("fibonacci"))
+    circ = orc.DenseCircuit.from_tensor_set(ts, L=6, amplitude_cap=10 ** 6)
+    rng = np.random.default_rng(2)
+    psi = rng.normal(size=3 ** 12) + 1j * rng.normal(size=3 ** 12)
+    for fn in (orc.evolve, orc._evolve_back):
+        out = fn(circ, psi, 0)
+        assert np.array_equal(out, psi) and not np.shares_memory(out, psi)
+        tracemalloc.start()
+        try:
+            out = fn(circ, psi, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(out, psi)
+        assert peak < 2.5 * psi.nbytes
 
 
 def test_amplitude_cap():

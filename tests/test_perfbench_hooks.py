@@ -52,6 +52,7 @@ def test_hooks_run_on_traced_points(fib_ts, d3_ts):
                  for _ in range(2)]
         mps = mpo.MPSState(rho_site=sites[0], v_site=sites[1])
         mpo.expectation(d3_ts, np.diag([1.0, -1.0]), 1, mps)
+        mpo.equilibration(d3_ts, mps)
         fib = mpo.MPSState.product([0, 0, 1], [0, 0, 1])
         mpo.renyi_replica(fib_ts, fib, 1, 1, 2)
         mpo.otoc(fib_ts, random_unitary(3, rng), random_unitary(3, rng), 0, 1)
@@ -60,7 +61,7 @@ def test_hooks_run_on_traced_points(fib_ts, d3_ts):
         uninstall()
     assert not tracer.stack
     for name in ("mpo.environment", "mpo.transfer.build", "mpo.solvability_check",
-                 "mpo.trace_channel", "mpo.renyi_replica"):
+                 "mpo.trace_channel", "mpo.renyi_replica", "mpo.equilibration"):
         assert tracer.calls(name) >= 1, name
     # the hooks read the stack, the window and alpha from the calls' arguments
     assert (d3_ts.pair.name, 2, 6 * 6 * 2 * 2) in tracer.sizes["transfer.dim"]
