@@ -51,9 +51,16 @@ window lives on the product of every layer's bond, but only a bounded set
 of its entries can be nonzero at any t (Fibonacci OTOC: at most 875 of
 257 049, measured up to t = 400).  The sweep carries it on that exact
 support, one sparse map per site (`_sweep_cuts`), and divides out the
-channel's growth once per cell.  Replica channels likewise run on the slot
-values that carry an exact nonzero entry of a traced column (Fibonacci: 8
-of 13), and the column factors are taken on the columns' live rows.
+channel's growth once per cell.  What a channel takes from the tensor set
+alone is kept on the set (`_TraceCache`): the Heisenberg rows, which are
+the same base tensors at every t, their adjoints, the projector cell
+channel's environment, and the map of every site built only from those
+tensors, keyed by the site's tensors and live rows.  So the maps outlive a
+call: an OTOC or st_correlator scan builds each interior map once, and a
+point pays only the sites that carry its own operators.  Replica channels
+likewise run on the slot values that carry an exact nonzero entry of a
+traced column (Fibonacci: 8 of 13), and the column factors are taken on the
+columns' live rows.
 """
 
 from __future__ import annotations
@@ -933,24 +940,26 @@ def _sectors(M):
 
     Indices i and j are linked when M[i, j] or M[j, i] is nonzero (no
     threshold), so M is block diagonal on the sectors: every entry between
-    two sectors is exactly zero.  Each sector grows by whole frontiers from
-    its smallest index; indices without a link are sectors of one at once.
-    Sectors come in the order of their smallest index.
+    two sectors is exactly zero.  Each index carries a label, at first
+    itself; a round lowers every label to the least label across its links
+    and then to its label's label, until no label moves.  A label is always
+    an index of the same component and never rises, so the labels settle on
+    each component's smallest index.  Sectors come in the order of their
+    smallest index, each in increasing order.
     """
-    linked = (M != 0) | (M != 0).T
-    np.fill_diagonal(linked, False)
-    free = linked.any(axis=1)
-    sectors = [np.array([i]) for i in np.flatnonzero(~free)]
-    while free.any():
-        seen = np.zeros(len(M), dtype=bool)
-        front = seen.copy()
-        front[np.argmax(free)] = True
-        while front.any():
-            seen |= front
-            front = linked[front].any(axis=0) & ~seen
-        free &= ~seen
-        sectors.append(np.flatnonzero(seen))
-    return sorted(sectors, key=lambda sec: sec[0])
+    i, j = np.divmod(np.flatnonzero(M), len(M))
+    ends, nbrs = np.concatenate((i, j)), np.concatenate((j, i))
+    label = np.arange(len(M))
+    while True:
+        low = label.copy()
+        np.minimum.at(low, ends, label[nbrs])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order], prepend=-1, append=len(M))).tolist()
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _cell_spectrum(ts, state):
@@ -1100,6 +1109,98 @@ def _leading_environment(M):
 # operators are multiplied into the site tensor of an adjacent layer.
 
 
+class _TraceCache:
+    """What a trace channel takes from its tensor set alone, built on first
+    use and kept on the set (`_trace_cache`), every array read-only.
+
+    `row(kind, first, last)` is a column's Heisenberg row pair (K, B),
+    `eye[d]` the identity row, `adjoint(row)` a row's adjoint and
+    `environment()` the projector cell channel with its environments.
+    `maps` holds the site maps of `_sweep_cuts`, keyed by (ids of the site
+    tensors, live rows), of the sites whose every tensor is kept.  `owned`
+    holds each kept tensor by id, so no other array can take the id of a
+    key while the cache lives; a tensor with a call's operator folded in is
+    never kept, nor is its site's map, so a scan over operators adds none.
+    """
+
+    def __init__(self, ts):
+        self._base = ts.rho_tensor, ts.v_tensor, ts.counit_vec, ts.unit_vec
+        self._env = None
+        self.owned, self.rows, self.adj, self.maps = {}, {}, {}, {}
+        self._proj = projector_mpo(ts)
+        for W in self._proj.values():
+            self.keep(W)
+        self.eye = {d: self.keep(np.eye(d, dtype=complex)[None, None])
+                    for d in {ts.d_v, ts.d_rho}}
+
+    def keep(self, W):
+        W.flags.writeable = False
+        self.owned[id(W)] = W
+        return W
+
+    def row(self, kind, first, last):
+        """(K, B) of a rho (kind 0) or v (kind 1) column, closed by the counit
+        on the left if `first` and by the unit on the right if `last`."""
+        key = (kind, first, last)
+        if key not in self.rows:
+            rho, v, counit, unit = self._base
+            base = v if kind else rho
+            # ket row: phys in (down leg) -> internal out (up leg), bonds (y, x)
+            K = np.transpose(base, (3, 2, 0, 1))          # [y, x, up, down]
+            B = np.conj(np.transpose(base, (3, 2, 1, 0)))  # conj row: in = up of ket
+            if first:
+                K = np.einsum("l,lrxy->rxy", counit, K)[None]
+                B = np.einsum("l,lrxy->rxy", counit.conj(), B)[None]
+            if last:
+                K = np.einsum("lrxy,r->lxy", K, unit)[:, None]
+                B = np.einsum("lrxy,r->lxy", B, unit.conj())[:, None]
+            self.rows[key] = self.keep(K), self.keep(B)
+        return self.rows[key]
+
+    def adjoint(self, row):
+        """Every site tensor of `row` with out and in legs swapped and
+        conjugated; the adjoint of a kept tensor is kept."""
+        out = []
+        for W in row:
+            if id(W) not in self.owned:
+                out.append(np.conj(np.swapaxes(W, 2, 3)))
+                continue
+            if id(W) not in self.adj:
+                self.adj[id(W)] = self.keep(np.conj(np.swapaxes(W, 2, 3)))
+            out.append(self.adj[id(W)])
+        return out
+
+    def environment(self):
+        """(E, lam, lefts, rights): the per-cell (v-site then rho-site)
+        channel E of the projector MPO divided by its spectral radius lam,
+        and its leading left (k, n) and right (n, k) eigenvectors."""
+        if self._env is None:
+            E = _pure_cell_channel(self._proj)
+            lam, lefts, rights = _leading_environment(E)
+            lam = abs(lam)
+            E = E / lam
+            for a in (E, lefts, rights):
+                a.flags.writeable = False
+            self._env = E, lam, lefts, rights
+        return self._env
+
+
+def _trace_cache(ts) -> _TraceCache:
+    """The trace cache of `ts`, built on first use."""
+    if ts._trace_cache is None:
+        ts._trace_cache = _TraceCache(ts)
+    return ts._trace_cache
+
+
+class _Layers(list):
+    """A trace channel's layers with the trace cache of their tensor set,
+    whose site maps `_sweep_cuts` reuses and extends."""
+
+    def __init__(self, layers, cache):
+        super().__init__(layers)
+        self.cache = cache
+
+
 def _projector_row(ts, window):
     mats = projector_mpo(ts)
     return [mats[leg_of(p, 0)] for p in window]
@@ -1113,50 +1214,28 @@ def _fold(row, where, op, inner=False):
     return row
 
 
-def _adjoint(row):
-    """Adjoint of every site tensor; repeated tensors stay shared."""
-    adj = {}
-    for W in row:
-        if id(W) not in adj:
-            adj[id(W)] = np.conj(np.swapaxes(W, 2, 3))
-    return [adj[id(W)] for W in row]
-
-
 def _heisenberg_rows(hmpo: HeisenbergMPO, window):
     """The embedded MPO of O(t) as two rows, [bra, ket], with O on the ket
     row's out leg; the rows of O(t)^dag are [adjoint(ket), adjoint(bra)].
 
     Splitting the rows keeps every bond at d_A instead of d_A^2, which is
     what makes the four-row OTOC channel affordable.  At t = 0 both rows are
-    identities and O sits on the ket row at the operator's position.
+    identities and O sits on the ket row at the operator's position.  Every
+    site tensor but O's is kept by the trace cache, shared by every call.
     """
     ts = hmpo.ts
+    cache = _trace_cache(ts)
     n = hmpo.n_columns
     pos_to_col = {round(2 * p): k for k, p in enumerate(hmpo.support())}
     op_col = n - 1 if hmpo.leg == "v" else 0
-    eye = {d: np.eye(d, dtype=complex)[None, None] for d in (ts.d_v, ts.d_rho)}
-    rows = {}           # (kind, first, last) -> (K, B): repeated columns share arrays
     kets, bras = [], []
     for p in window:
         k = pos_to_col.get(round(2 * p))
         if k is None:
-            kets.append(eye[ts.d_v if leg_of(p, 0) == "v" else ts.d_rho])
+            kets.append(cache.eye[ts.d_v if leg_of(p, 0) == "v" else ts.d_rho])
             bras.append(kets[-1])
             continue
-        key = (k % 2, k == 0, k == n - 1)
-        if key not in rows:
-            base = ts.rho_tensor if k % 2 == 0 else ts.v_tensor
-            # ket row: phys in (down leg) -> internal out (up leg), bonds (y, x)
-            K = np.transpose(base, (3, 2, 0, 1))          # [y, x, up, down]
-            B = np.conj(np.transpose(base, (3, 2, 1, 0)))  # conj row: in = up of ket
-            if k == 0:
-                K = np.einsum("l,lrxy->rxy", ts.counit_vec, K)[None]
-                B = np.einsum("l,lrxy->rxy", ts.counit_vec.conj(), B)[None]
-            if k == n - 1:
-                K = np.einsum("lrxy,r->lxy", K, ts.unit_vec)[:, None]
-                B = np.einsum("lrxy,r->lxy", B, ts.unit_vec.conj())[:, None]
-            rows[key] = K, B
-        K, B = rows[key]
+        K, B = cache.row(k % 2, k == 0, k == n - 1)
         kets.append(hmpo.op @ K if k == op_col else K)
         bras.append(B)
     if not pos_to_col:
@@ -1217,21 +1296,31 @@ def _sweep_cuts(layers, lefts, lam):
     The live set is the exact nonzero pattern: the boundary's nonzero
     entries, then every output a nonzero path reaches.  It contains the
     vector's numerical support, so the restriction drops nothing but exact
-    zeros.  One map is built per distinct (site tensors, live rows): repeated
-    interior columns share their arrays and, once the live set repeats,
-    their maps.  The window is whole cells (v-site, rho-site), and the
-    vector is divided by `lam` once per cell.
+    zeros.  One map is built per distinct (site tensors, live rows).  When
+    `layers` carries its tensor set's trace cache (`_Layers`), the map of a
+    site whose every tensor the cache keeps is kept there and outlives the
+    call: the interior columns are the same tensors at every t, so a scan
+    builds each of their maps once.  A site with a call's operator folded
+    in keeps its map for this call only.  The window is whole cells (v-site,
+    rho-site), and the vector is divided by `lam` once per cell.
     """
+    cache = getattr(layers, "cache", None)
+    kept, owned = (cache.maps, cache.owned) if cache else ({}, {})
+    maps = {}
     cols = np.flatnonzero(np.any(lefts != 0, axis=0))
     live = np.zeros((len(cols), len(layers)), dtype=np.intp)
     live[:, 0] = cols
     vec = lefts[:, cols]
-    maps = {}
     for s, site in enumerate(zip(*layers)):
-        key = (tuple(map(id, site)), live.tobytes())
-        if key not in maps:
-            maps[key] = _site_map(site, live)
-        src, val, starts, live, cols = maps[key]
+        ids = tuple(map(id, site))
+        table = kept if all(i in owned for i in ids) else maps
+        key = (ids, live.tobytes())
+        if key not in table:
+            table[key] = _site_map(site, live)
+            if table is kept:
+                for a in table[key]:
+                    a.flags.writeable = False
+        src, val, starts, live, cols = table[key]
         vec = np.add.reduceat(vec[:, src] * val, starts, axis=1)
         if s % 2:
             vec = vec / lam
@@ -1285,14 +1374,13 @@ def st_correlator(ts, A_op, B_op, x, t, ring_cells=None) -> complex:
 def _st_value(ts, window, layers, ring_cells=None) -> complex:
     """Normalized projector trace: infinite chain (environments) by default,
     or closed periodically over `ring_cells` unit cells for exact comparison
-    with a finite-ring dense trace.  Layer 0 is the unfolded projector row;
-    its first cell gives the per-cell channel E (`ts` is not read).  E's
-    spectral radius lam is divided out once per cell, from E and from the
-    swept vector alike, so both stay finite at any t."""
-    E = _pure_cell_channel({"v": layers[0][0], "rho": layers[0][1]})
-    lam, lefts, rights = _leading_environment(E)
-    lam = abs(lam)
-    E = E / lam
+    with a finite-ring dense trace.  Layer 0 is the unfolded projector row.
+    The per-cell channel E of the projector MPO, its environments and its
+    spectral radius lam come from the tensor set's trace cache, which the
+    sweep also reuses for its site maps; lam is divided out once per cell,
+    from E and from the swept vector alike, so both stay finite at any t."""
+    cache = _trace_cache(ts)
+    E, lam, lefts, rights = cache.environment()
     if ring_cells is not None:
         extra = ring_cells - len(window) // 2
         if extra < 0:
@@ -1303,7 +1391,7 @@ def _st_value(ts, window, layers, ring_cells=None) -> complex:
         lefts, rights = vh[:r], (u[:, :r] * s[:r]).T
     else:
         rights = rights.T
-    num = np.sum(_sweep_channel(layers, lefts, lam) * rights)
+    num = np.sum(_sweep_channel(_Layers(layers, cache), lefts, lam) * rights)
     den = np.sum(lefts @ np.linalg.matrix_power(E, len(window) // 2) * rights)
     return complex(num / den)
 
@@ -1327,9 +1415,10 @@ def otoc(ts, V_op, W_op, x, t, warn_nonunitary=True, ring_cells=None) -> complex
     window = _cell_window(hm.support() + [0.0, x])
     w_at = window.index(0.0)
     bra, ket = _heisenberg_rows(hm, window)
+    cache = _trace_cache(ts)
     layers = [
         _projector_row(ts, window),
-        _fold(_adjoint(ket), w_at, W_op.conj().T), _adjoint(bra),
+        _fold(cache.adjoint(ket), w_at, W_op.conj().T), cache.adjoint(bra),
         _fold(bra, w_at, W_op), ket,
     ]
     return _st_value(ts, window, layers, ring_cells=ring_cells)

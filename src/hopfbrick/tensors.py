@@ -56,8 +56,11 @@ class SolvableTensorSet:
     unit_vec: np.ndarray
     counit_vec: np.ndarray
     residuals: dict = field(default_factory=dict)
-    # the projector MPO, built by the engine on first use (`mpo.projector_mpo`)
-    _projector_mpo: dict | None = field(default=None, repr=False, compare=False)
+    # built by the engine on first use and kept for this set only, so not
+    # copied by `dataclasses.replace`: the projector MPO (`mpo.projector_mpo`)
+    # and the trace-channel rows, maps and environment (`mpo._trace_cache`)
+    _projector_mpo: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _trace_cache: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def algebra(self):

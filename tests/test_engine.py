@@ -401,6 +401,31 @@ def test_sectors_follow_links_either_way():
     assert [list(sec) for sec in mpo._sectors(M)] == [[0, 2, 4], [1, 3], [5]]
 
 
+def _scipy_sectors(pattern):
+    """Weakly connected components of `pattern` by scipy, in `_sectors`' order."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+    n, labels = connected_components(csr_array(pattern), directed=True, connection="weak")
+    return sorted((np.flatnonzero(labels == k) for k in range(n)), key=lambda sec: sec[0])
+
+
+def _assert_same_sectors(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n,density", [(1, 1.0), (2, 0.0), (40, 0.02), (169, 0.004),
+                                       (200, 0.01), (576, 0.002), (576, 0.05)])
+def test_sectors_equal_scipy_components_on_random_patterns(n, density):
+    # one-way links, self-loops and isolated indices alike, at every density
+    # from all singletons to one giant component
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        M = np.where(rng.random((n, n)) < density, rng.normal(size=(n, n)), 0.0)
+        _assert_same_sectors(mpo._sectors(M), _scipy_sectors(M))
+
+
 def test_sector_spectrum_equals_dense_eigvals(quench_case):
     from scipy.optimize import linear_sum_assignment
     ts, state = quench_case
@@ -465,6 +490,13 @@ def _ket_bra_swap(ts, state):
 
 def _joint_sectors(st):
     return mpo._sectors((st.T("rho") != 0) | (st.T("v") != 0))
+
+
+def test_sectors_equal_scipy_components_on_cell_patterns(cell_case):
+    _, ts, state = cell_case
+    st = state.transfer_stack(ts)
+    pattern = (st.T("rho") != 0) | (st.T("v") != 0)
+    _assert_same_sectors(_joint_sectors(st), _scipy_sectors(pattern))
 
 
 def test_columns_conjugate_under_the_ket_bra_swap(cell_case):

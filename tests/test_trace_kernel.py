@@ -3,9 +3,13 @@
 `mpo._sweep_cuts` carries the swept vector only on its live index set; the
 dense reference in `dense_channel` carries every entry.  The two agree to
 round-off on every zoo model, on the infinite chain and on rings, and the
-live set at every cut holds every nonzero entry of the dense vector.
+live set at every cut holds every nonzero entry of the dense vector.  The
+rows, maps and environment a tensor set keeps for its trace channels
+(`mpo._TraceCache`) change no value bitwise, answer for no other tensor
+set, and do not grow with a point's operators.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -145,3 +149,118 @@ def test_projector_mpo_built_once_per_tensor_set(monkeypatch):
     assert svds == []
     assert mpo.projector_mpo(ts) is mpo.projector_mpo(ts)
     assert not any(M.flags.writeable for M in mpo.projector_mpo(ts).values())
+
+
+# -- the trace cache: rows, maps and environment kept per tensor set -----------------------
+
+SCAN = [(0.0, t / 2) for t in range(1, 21)] + [(1.0, float(t)) for t in range(1, 11)]
+
+
+def scan_values(ts, points, seed=8):
+    rng = np.random.default_rng(seed)
+    V, W = random_unitary(3, rng), random_unitary(3, rng)
+    A, B = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    out = {}
+    for x, t in points:
+        out["otoc", x, t] = mpo.otoc(ts, V, W, x, t, warn_nonunitary=False)
+        out["ring", x, t] = mpo.otoc(ts, V, W, x, t, False, ring_cells=2 * int(t) + 4)
+        if mpo.leg_of(0.0, t) == "v":
+            out["st", x, t] = mpo.st_correlator(ts, A, B, x, t)
+    return out
+
+
+def counted_builds(monkeypatch):
+    """A list that grows by one for every `_site_map` build while
+    `monkeypatch` (a fixture or one of its contexts) is active."""
+    builds = []
+    build = mpo._site_map
+    monkeypatch.setattr(mpo, "_site_map", lambda *a: builds.append(1) or build(*a))
+    return builds
+
+
+def test_cached_values_equal_fresh_tensor_set_values(fib_ts):
+    # a warm cache (every point of the scan already evaluated) against a
+    # fresh tensor set per point: bitwise equal
+    points = SCAN[::3]
+    scan_values(fib_ts, SCAN)
+    warm = scan_values(fib_ts, points)
+    for p in points:
+        fresh = scan_values(build_tensors(zoo.model("fibonacci")), [p])
+        assert all(warm[k] == v for k, v in fresh.items()), p
+
+
+def test_scan_order_does_not_change_values():
+    forward = scan_values(build_tensors(zoo.model("fibonacci")), SCAN)
+    backward = scan_values(build_tensors(zoo.model("fibonacci")), SCAN[::-1])
+    assert forward == backward
+
+
+def test_second_tensor_set_builds_its_own_maps(monkeypatch, fib_ts):
+    rng = np.random.default_rng(2)
+    V, W = random_unitary(3, rng), random_unitary(3, rng)
+    first = mpo.otoc(fib_ts, V, W, 0.0, 2.0, warn_nonunitary=False)
+    builds = counted_builds(monkeypatch)
+    for other in (dataclasses.replace(fib_ts), build_tensors(zoo.model("fibonacci"))):
+        assert other._trace_cache is None and other._projector_mpo is None
+        del builds[:]
+        assert mpo.otoc(other, V, W, 0.0, 2.0, warn_nonunitary=False) == first
+        cold = len(builds)
+        del builds[:]
+        mpo.otoc(fib_ts, V, W, 0.0, 2.0, warn_nonunitary=False)
+        assert cold > len(builds)
+        assert other._trace_cache is not fib_ts._trace_cache
+        assert not set(other._trace_cache.owned) & set(fib_ts._trace_cache.owned)
+
+
+def test_operators_do_not_grow_the_cache():
+    # 20 OTOCs with different random V: only their folded sites are built
+    # per call, so the cache holds what the first one left
+    ts = build_tensors(zoo.model("fibonacci"))
+    rng = np.random.default_rng(4)
+    W = random_unitary(3, rng)
+    sizes = set()
+    for _ in range(20):
+        mpo.otoc(ts, random_unitary(3, rng), W, 1.0, 3.0, warn_nonunitary=False)
+        cache = ts._trace_cache
+        sizes.add((len(cache.maps), len(cache.owned), len(cache.rows), len(cache.adj)))
+    assert len(sizes) == 1
+
+
+def test_cached_arrays_are_read_only(fib_ts):
+    scan_values(fib_ts, SCAN[:4])
+    cache = fib_ts._trace_cache
+    assert cache.maps and cache.rows
+    kept = list(cache.owned.values()) + [a for m in cache.maps.values() for a in m]
+    kept += [a for a in cache.environment() if isinstance(a, np.ndarray)]
+    assert not any(a.flags.writeable for a in kept)
+    K, B = cache.row(0, False, False)
+    with pytest.raises(ValueError):
+        K[...] = 0
+
+
+def test_repeated_point_builds_only_its_folded_sites(monkeypatch):
+    ts = build_tensors(zoo.model("fibonacci"))
+    rng = np.random.default_rng(6)
+    for x, t in ((0.0, 2.5), (1.0, 3.0), (0.0, 0.0)):
+        V, W = random_unitary(3, rng), random_unitary(3, rng)
+        sweeps = captured_sweeps(monkeypatch, mpo.otoc, ts, V, W, x, t, warn_nonunitary=False)
+        (layers, _, _), = sweeps
+        folded = sum(not all(id(M) in ts._trace_cache.owned for M in site)
+                     for site in zip(*layers))
+        assert 1 <= folded <= 2
+        with monkeypatch.context() as m:
+            builds = counted_builds(m)
+            mpo.otoc(ts, V, W, x, t, warn_nonunitary=False)
+        assert len(builds) == folded, (x, t)
+
+
+def test_otoc_scan_build_count(monkeypatch):
+    # the two OTOC scans of configs/fib_otoc.json on one fresh tensor set:
+    # 329 map builds with maps kept per call, 81 with the trace cache
+    ts = build_tensors(zoo.model("fibonacci"))
+    builds = counted_builds(monkeypatch)
+    rng = np.random.default_rng(42)
+    V, W = random_unitary(3, rng), random_unitary(3, rng)
+    for x, t in SCAN:
+        mpo.otoc(ts, V, W, x, t, warn_nonunitary=False)
+    assert len(builds) <= 81
