@@ -17,7 +17,8 @@ and the manifest are written; a non-finite value or a numeric error skips
 its point); 2 unreadable or invalid input: an unknown or malformed model
 (a spec over the dim cap included), state or operator, or a config value of
 the wrong JSON type (every subcommand; one error line, no traceback; `run`
-checks operators per point), a malformed quantity entry, an empty grid or
+checks operators per point), a malformed quantity entry (a block size l
+that is not an integer of at least 1 included), an empty grid or
 one of more than GRID_POINTS_MAX points (run, before any CSV is written) or,
 for oracle, a ring over the amplitude cap or a --t that is not a non-negative
 multiple of 1/2, for oracle and revival --dense, a ring with no sites, and
@@ -246,9 +247,9 @@ def _quantity_points(q):
     """Every (x, t, alpha, l) point of the quantity entry `q`, in grid order.
 
     ValueError on a malformed entry: an unknown or missing name, a missing
-    key, a malformed grid, an alpha or l that is not an integer, no point at
-    all or more than GRID_POINTS_MAX.  Operators and off-grid points are
-    checked per point."""
+    key, a malformed grid, an alpha or l that is not an integer, an l below
+    1, no point at all or more than GRID_POINTS_MAX.  Operators and off-grid
+    points are checked per point."""
     if not isinstance(q, dict) or q.get("name") not in _QUANTITY_KEYS:
         name = q.get("name") if isinstance(q, dict) else q
         raise ValueError(f"quantity {name!r} is not one of {', '.join(_QUANTITY_KEYS)}")
@@ -261,6 +262,8 @@ def _quantity_points(q):
         values = values if isinstance(values, list) else [values]
         if key in q and not all(_is_number(v) and int(v) == v for v in values):
             raise ValueError(f"quantity {q['name']!r}: {key} {q[key]!r} is not an integer grid")
+        if key == "l" and key in q and min(values, default=1) < 1:
+            raise ValueError(f"quantity {q['name']!r}: l {q['l']!r} holds a block size below 1")
         grids.append(values)
     if math.prod(map(len, grids)) > GRID_POINTS_MAX:
         raise ValueError(f"quantity {q.get('label', q['name'])!r} has more than "

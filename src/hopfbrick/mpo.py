@@ -24,7 +24,9 @@ O((d_A D_psi)^4) of its dense matrix.
 A block entropy is one program, `_renyi_program`, whose open columns carry
 the block's legs: kept open on one copy they give the reduced density
 matrix, paired across replicas they give the replica trace.  Both forms
-hold at every block size and time.
+hold at every block size and time.  The explicit form keeps the spectrum of
+each block RDM on the TransferStack, per (l, half steps): an alpha-scan pays
+one RDM and one eigvalsh per (l, t), and each alpha one power sum.
 
 Segment programs: the replica trace is not stepped column by column.  Its
 program is a few runs of one repeated two-column cell (`_runs`): two ramps,
@@ -66,6 +68,7 @@ columns' live rows.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -256,6 +259,7 @@ class TransferStack:
         self._factors = {}
         self._channels = {}
         self._kept = {"L": {}, "R": {}}
+        self._spectra = {}          # (l, n) -> block RDM spectrum, see `renyi_small`
 
     def _pair(self, ket, bra):
         """sum_a ket[a] (x) bra[a] in the cut layout."""
@@ -477,14 +481,24 @@ def two_point(ts, O, O2, x, t, state: MPSState, connected=False) -> complex:
 # -- Renyi entropies ---------------------------------------------------------------------
 
 
-def _entropy_from_rdm(M, alpha) -> float:
+def _block_size(l) -> int:
+    """The block size l as an int; ValueError unless it is a positive integer."""
+    if isinstance(l, bool) or not isinstance(l, numbers.Integral) or l < 1:
+        raise ValueError(f"block size l = {l!r} is not a positive integer")
+    return int(l)
+
+
+def _rdm_spectrum(M) -> np.ndarray:
+    """Eigenvalues of the reduced density matrix M normalized to unit trace,
+    from its Hermitian part, clipped at zero; read-only."""
     tr = np.trace(M)
     if not np.isfinite(tr) or tr == 0:
         raise FloatingPointError(f"reduced density matrix has trace {tr:.3e}")
     M = M / tr
     vals = np.linalg.eigvalsh((M + M.conj().T) / 2)
     vals = np.clip(vals.real, 0.0, None)
-    return float(np.log(float((vals ** alpha).sum())) / (1 - alpha))
+    vals.flags.writeable = False
+    return vals
 
 
 def _renyi_program(l, n):
@@ -506,6 +520,7 @@ def reduced_density_matrix(ts, state, l, t) -> np.ndarray:
     contracted from its boundary.  Rows are the ket legs and columns the bra
     legs of the open columns, in program order.
     """
+    l = _block_size(l)
     dr, dv = ts.d_rho, ts.d_v
     if (dr * dv) ** (2 * l) > MEMORY_CAP:
         raise MemoryError("reduced density matrix exceeds the memory cap")
@@ -530,13 +545,22 @@ def reduced_density_matrix(ts, state, l, t) -> np.ndarray:
 
 
 def renyi_small(ts, state, l, t, alpha) -> float:
-    """H_alpha of a 2l-qudit block via the explicit reduced density matrix."""
+    """H_alpha of a 2l-qudit block via the explicit reduced density matrix.
+
+    The spectrum of the block's RDM is kept on the TransferStack per (l, n
+    half steps), so every alpha at one point shares one RDM and one eigvalsh.
+    """
     if alpha < 2 or int(alpha) != alpha:
         raise ValueError("alpha must be an integer >= 2")
-    if _half_steps(t) == 0:
+    l = _block_size(l)
+    n = _half_steps(t)
+    if n == 0:
         return 0.0
-    M = reduced_density_matrix(ts, state, l, t)
-    return _entropy_from_rdm(M, alpha)
+    spectra = state.transfer_stack(ts)._spectra
+    vals = spectra.get((l, n))
+    if vals is None:
+        vals = spectra[(l, n)] = _rdm_spectrum(reduced_density_matrix(ts, state, l, t))
+    return float(np.log(float((vals ** alpha).sum())) / (1 - alpha))
 
 
 class ReplicaChannel:
@@ -916,8 +940,8 @@ def _replica_entropy(ts, state, t, alpha, program) -> float:
     h = float((np.log(tr.real) + log_scale) / (1 - alpha))
     # H_alpha of a normalized state is at most the log of its open legs'
     # dimension; beyond it the trace is the round-off of a vanishing one
-    h_max = sum(np.log(ts.d_rho if kind == "rho" else ts.d_v) for kind, is_open in program
-                if is_open)
+    h_max = (program.count(("rho", True)) * math.log(ts.d_rho)
+             + program.count(("v", True)) * math.log(ts.d_v))
     if h > h_max + TOL_NUM * max(1.0, h_max):
         raise FloatingPointError(f"replica entropy {h:.3e} exceeds the bound {h_max:.3e} "
                                  "of a normalized state")
@@ -926,7 +950,7 @@ def _replica_entropy(ts, state, t, alpha, program) -> float:
 
 def renyi_replica(ts, state, l, t, alpha) -> float:
     """H_alpha via the replica transfer matrices (product initial states)."""
-    return _replica_entropy(ts, state, t, alpha, _renyi_program(l, _half_steps(t)))
+    return _replica_entropy(ts, state, t, alpha, _renyi_program(_block_size(l), _half_steps(t)))
 
 
 def renyi_half_chain(ts, state, t, alpha) -> float:

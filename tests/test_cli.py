@@ -536,8 +536,11 @@ def test_spec_over_the_dim_cap_exits_2_with_one_line(tmp_path, capsys):
     # counted before any array is built: not a 7 TiB allocation
     {"name": "expectation", "O": "e1", "t": {"start": 0, "stop": 1e12, "step": 1}},
     {"name": "expectation", "O": "e1", "t": {"start": -1e308, "stop": 1e308, "step": 0.5}},
+    {"name": "renyi", "l": [-1], "alpha": [2], "t": [1]},
+    {"name": "renyi", "l": [2, 0], "alpha": [2], "t": [1]},
+    {"name": "renyi", "l": [2.5], "alpha": [2], "t": [1]},
 ], ids=["zero-step", "no-name", "text-grid", "renyi-without-l", "negative-step",
-        "1e12-points", "overflowing-span"])
+        "1e12-points", "overflowing-span", "negative-l", "zero-l", "half-integer-l"])
 def test_run_malformed_quantity_exits_2_before_any_csv(quantity, tmp_path, capsys):
     # a malformed entry anywhere in the list stops the run up front: one
     # error line, exit code 2, and no CSV, not even for the good entries

@@ -1,8 +1,12 @@
+import contextlib
 import dataclasses
+import io
+import json
 import subprocess
 import sys
 import warnings
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -833,6 +837,97 @@ def test_renyi_memory_cap(fib_ts, fib_state):
     for t in (8, 1):
         with pytest.raises(MemoryError):
             mpo.renyi_small(fib_ts, fib_state, 8, t, 2)
+
+
+@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("l", [0, -1, 2.5])
+@pytest.mark.parametrize("fn", [mpo.reduced_density_matrix, mpo.renyi_small, mpo.renyi_replica])
+def test_block_size_must_be_a_positive_integer(fn, l, t, fib_ts, fib_state):
+    # checked before any program is built, at t = 0 as well
+    args = (fib_ts, fib_state, l, t) + (() if fn is mpo.reduced_density_matrix else (2,))
+    with pytest.raises(ValueError, match="positive integer"):
+        fn(*args)
+
+
+RDM_STATES = {"fib": ([0, 0, 1], [0, 0, 1]), "d3": ([1, 1], [1, 1])}
+RDM_POINTS = [(l, t) for l in (1, 2) for t in (0.5, 1, 2.5, 4)]
+
+
+def _alpha_scan(ts, state, alphas):
+    return {(l, t, a): mpo.renyi_small(ts, state, l, t, a) for l, t in RDM_POINTS for a in alphas}
+
+
+@pytest.mark.parametrize("model", ["fib", "d3"])
+def test_alpha_scan_is_bitwise_fresh(model, request):
+    # one state answers an alpha-scan from one kept spectrum per (l, t), with
+    # the bits of a fresh state at every point
+    ts = request.getfixturevalue(f"{model}_ts")
+    state = mpo.MPSState.product(*RDM_STATES[model])
+    cached = _alpha_scan(ts, state, (2, 3, 4))
+    assert set(state.transfer_stack(ts)._spectra) == {(l, 2 * t) for l, t in RDM_POINTS}
+    for (l, t, a), value in cached.items():
+        fresh = mpo.MPSState.product(*RDM_STATES[model])
+        assert mpo.renyi_small(ts, fresh, l, t, a) == value, (l, t, a)
+
+
+@pytest.mark.parametrize("model", ["fib", "d3"])
+def test_alpha_order_does_not_change_values(model, request):
+    ts = request.getfixturevalue(f"{model}_ts")
+    up = _alpha_scan(ts, mpo.MPSState.product(*RDM_STATES[model]), (2, 3, 4))
+    down = _alpha_scan(ts, mpo.MPSState.product(*RDM_STATES[model]), (4, 3, 2))
+    assert up == down
+
+
+def test_spectra_are_per_state_and_tensor_set(fib_ts):
+    # a kept spectrum never answers for another state or tensor set
+    vectors = [([0, 0, 1], [0, 0, 1]), ([0, 1, 0], [1, 0, 0])]
+    states = [mpo.MPSState.product(*vecs) for vecs in vectors]
+    other_ts = dataclasses.replace(fib_ts)
+    l, t = 2, 1.5
+    warm = mpo.renyi_small(fib_ts, states[0], l, t, 2)
+    stacks = [st.transfer_stack(ts) for ts in (fib_ts, other_ts) for st in states]
+    assert list(stacks[0]._spectra) == [(2, 3)]
+    assert all(not s._spectra for s in stacks[1:])
+    for ts in (fib_ts, other_ts):
+        for vecs, state in zip(vectors, states):
+            for a in (2, 3):
+                assert (mpo.renyi_small(ts, state, l, t, a)
+                        == mpo.renyi_small(ts, mpo.MPSState.product(*vecs), l, t, a))
+    assert len({id(s._spectra) for s in stacks}) == 4
+    assert all(list(s._spectra) == [(2, 3)] for s in stacks)
+    assert warm != mpo.renyi_small(fib_ts, states[1], l, t, 2)
+
+
+def test_kept_spectra_are_read_only(fib_ts):
+    # the stack keeps the spectrum alone: (d_rho d_v)^l floats, not a view of
+    # the RDM it came from
+    state = mpo.MPSState.product([0, 0, 1], [0, 0, 1])
+    mpo.renyi_small(fib_ts, state, 2, 2, 3)
+    (vals,) = state.transfer_stack(fib_ts)._spectra.values()
+    assert vals.shape == ((fib_ts.d_rho * fib_ts.d_v) ** 2,) and vals.dtype == float
+    assert vals.base is None and not vals.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+
+
+def test_renyi_scan_builds_one_rdm_per_time(d3_ts, tmp_path, monkeypatch):
+    # the renyi_l3 entry of configs/d3_renyi.json, run as a batch: its 24
+    # t > 0 points (alpha = 2, 3, 4) build one RDM per t
+    from hopfbrick import cli
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "d3_renyi.json")
+                        .read_text())
+    config["quantities"] = [q for q in config["quantities"] if q["label"] == "renyi_l3"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    builds = []
+    monkeypatch.setattr(mpo, "reduced_density_matrix",
+                        lambda *args, build=mpo.reduced_density_matrix:
+                        builds.append(args[2:]) or build(*args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(builds) == [(3, float(t)) for t in range(1, 9)]
+    with (tmp_path / "out" / "renyi_l3.csv").open() as fh:
+        assert len(fh.read().splitlines()) == 1 + 27
 
 
 def test_oracle_quantities_batch(fib_ts):

@@ -7,7 +7,10 @@ without them, or make it fail.  The file is read and executed here without
 importing it as a module, so no bytecode is written next to it.
 """
 
+import contextlib
 import inspect
+import io
+import json
 import runpy
 from importlib import import_module
 from pathlib import Path
@@ -93,3 +96,25 @@ def test_oracle_counters_see_every_layer(fib_ts, t, k):
     assert tracer.calls("oracle.evolve") == 1
     assert tracer.counts["oracle.layers_applied"] == 2 * t
     assert tracer.maxima["oracle.amplitudes_max"] == dim
+
+
+def test_traced_alpha_scan_counts_every_renyi_small_point(d3_ts, tmp_path):
+    # the block's RDM spectrum is shared across alpha, but each (l, t, alpha)
+    # is still one outermost `renyi_small` call: the harness's point count of
+    # renyi_block's dihedral-3 entry stays 27
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"),
+                           run_name="perfbench_spans")
+    config = {"model": "zoo:dihedral-3", "initial_state": "+",
+              "quantities": [{"name": "renyi", "label": "renyi_l3", "l": [3],
+                              "alpha": [2, 3, 4], "t": {"start": 0, "stop": 8, "step": 1}}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    tracer = spans["Tracer"]()
+    uninstall = spans["install"](tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert hopfbrick.cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        uninstall()
+    assert tracer.calls("mpo.renyi_small") == 27
+    assert len(tracer.point_times_ms()["renyi_small"]) == 27
