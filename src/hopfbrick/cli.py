@@ -139,19 +139,21 @@ def _site_vector(spec, d, site):
     return vec
 
 
-def _initial_state(spec, d):
+def _initial_state(spec, d_v, d_rho=None):
     """Product state from a site-label string like '33' or '+,+', or from
-    {"rho": ..., "v": ...} site labels or vectors."""
+    {"rho": ..., "v": ...} site labels or vectors; each site vector has its
+    own dimension, d_v and d_rho (d_v when not given)."""
+    d_rho = d_v if d_rho is None else d_rho
     if isinstance(spec, dict) and {"rho", "v"} <= spec.keys():
-        return mpo.MPSState.product(_site_vector(spec["rho"], d, "rho"),
-                                    _site_vector(spec["v"], d, "v"))
+        return mpo.MPSState.product(_site_vector(spec["rho"], d_rho, "rho"),
+                                    _site_vector(spec["v"], d_v, "v"))
     if not isinstance(spec, str):
         raise ValueError(f"initial state {spec!r} is not a label string or a {{rho, v}} object")
     labels = spec.split(",") if "," in spec else list(spec)
     if len(labels) == 1:
         labels = labels * 2
-    v_vec = _site_vector(labels[0], d, "v")
-    rho_vec = _site_vector(labels[1], d, "rho")
+    v_vec = _site_vector(labels[0], d_v, "v")
+    rho_vec = _site_vector(labels[1], d_rho, "rho")
     return mpo.MPSState.product(rho_vec, v_vec)
 
 
@@ -329,7 +331,7 @@ def cmd_run(args) -> int:
         plans = [(q, _quantity_points(q)) for q in config["quantities"]]
         pair = _load_model(config["model"], tol=args.tol)
         ts = build_tensors(pair)
-        state = _initial_state(config["initial_state"], ts.d_v)
+        state = _initial_state(config["initial_state"], ts.d_v, ts.d_rho)
         resid = state.check_projector_invariance(pair)
         circ = _oracle_ring(ts, args.oracle_check)
     except (ValueError, OSError) as exc:

@@ -54,15 +54,15 @@ of its entries can be nonzero at any t (Fibonacci OTOC: at most 875 of
 257 049, measured up to t = 400).  The sweep carries it on that exact
 support, one sparse map per site (`_sweep_cuts`), and divides out the
 channel's growth once per cell.  What a channel takes from the tensor set
-alone is kept on the set (`_TraceCache`): the Heisenberg rows, which are
-the same base tensors at every t, their adjoints, the projector cell
-channel's environment, and the map of every site built only from those
-tensors, keyed by the site's tensors and live rows.  So the maps outlive a
-call: an OTOC or st_correlator scan builds each interior map once, and a
-point pays only the sites that carry its own operators.  Replica channels
-likewise run on the slot values that carry an exact nonzero entry of a
-traced column (Fibonacci: 8 of 13), and the column factors are taken on the
-columns' live rows.
+alone is kept on the set (`_TraceCache`): the projector MPO and its cell
+channel's environment, and every window site's tensors and maps, keyed by
+what the site is (rows or adjoint rows, projector leg, Heisenberg column),
+since the interior columns are the same base tensors at every t.  So the
+maps outlive a call: an OTOC or st_correlator scan builds each interior
+map once, and a point pays only the sites that carry its own operators.
+Replica channels likewise run on the slot values that carry an exact
+nonzero entry of a traced column (Fibonacci: 8 of 13), and the column
+factors are taken on the columns' live rows.
 """
 
 from __future__ import annotations
@@ -85,7 +85,13 @@ REAL_FORM_MIN = 16          # smaller swap-closed blocks: the real form saves le
 
 
 def leg_of(x, t) -> str:
-    """Leg type of an operator at position x and time t (half-integer grid)."""
+    """Leg type of an operator at position x and time t (half-integer grid).
+
+    Raises ValueError unless 2x is an integer: an off-grid position names
+    no site.
+    """
+    if not float(2 * x).is_integer():
+        raise ValueError(f"position {x} is not a multiple of 1/2")
     return "v" if abs((x - t) - round(x - t)) < 1e-9 else "rho"
 
 
@@ -237,6 +243,10 @@ class TransferStack:
     """
 
     def __init__(self, ts: SolvableTensorSet, state: MPSState):
+        dims = (state.rho_site.shape[0], state.v_site.shape[0])
+        if dims != (ts.d_rho, ts.d_v):
+            raise ValueError(f"state site dimensions (rho, v) = {dims} are not the "
+                             f"model's {(ts.d_rho, ts.d_v)}")
         self.ts = ts
         # a weak proxy: the state owns its cached stacks, and a strong
         # reference back would keep both alive until a cyclic collection
@@ -387,7 +397,7 @@ def mpo_inverted_triangle(ts: SolvableTensorSet, n: int) -> np.ndarray:
 class HeisenbergMPO:
     """A time-evolved single-site operator O(t) as two MPO rows, bra and
     ket, each of bond d_A at every cut, independent of t
-    (`_heisenberg_rows`); `bond_dim` is the product of the two, d_A^2.
+    (`_trace_layers`); `bond_dim` is the product of the two, d_A^2.
 
     Columns alternate rho, v over 2t pairs; the operator inserts on the last
     v column (v-leg) or the first rho column (rho-leg).  At t = 0 there are
@@ -1051,19 +1061,15 @@ def equilibration(ts, state):
 
 def projector_mpo(ts: SolvableTensorSet):
     """Per-site MPO tensors of the global projector, built from
-    `ts.projectors` once per tensor set and kept on it, read-only; bond 1
-    for a model that carries no projectors.
+    `ts.projectors` once per tensor set and kept by its trace cache,
+    read-only; bond 1 for a model that carries no projectors.
 
     Axes [bond_left, bond_right, out, in].  The v-site (integer position)
     sits between a Q bond on its left cut and a P bond on its right cut; the
     rho-site between a P bond (left) and a Q bond (right).  Each bond is cut
     to its exact rank (Fibonacci: v -> rho 2 of 9, rho -> v 9 of 9).
     """
-    if ts._projector_mpo is None:
-        ts._projector_mpo = _build_projector_mpo(ts)
-        for W in ts._projector_mpo.values():
-            W.flags.writeable = False
-    return ts._projector_mpo
+    return _trace_cache(ts).proj
 
 
 def _build_projector_mpo(ts):
@@ -1081,12 +1087,8 @@ def _build_projector_mpo(ts):
     W_v = np.einsum("oCmD,AmBi->ABCDoi", P, Q, optimize=True)
     W_v = W_v.reshape(dr * dr, dr * dr, dv, dv)
     # rho-site: the two matrix units compose to delta_{bP,aQ} |aP><bQ|
-    W_r = np.zeros((dr, dr, dr, dr, dr, dr), dtype=complex)
-    for aP in range(dr):
-        for bP in range(dr):
-            for bQ in range(dr):
-                W_r[aP, bP, bP, bQ, aP, bQ] = 1.0
-    W_r = W_r.reshape(dr * dr, dr * dr, dr, dr)
+    I = np.eye(dr, dtype=complex)
+    W_r = np.einsum("ae,bc,df->abcdef", I, I, I).reshape(dr * dr, dr * dr, dr, dr)
     W_v, W_r = _cut_bond(W_v, W_r)
     W_r, W_v = _cut_bond(W_r, W_v)
     return {"v": W_v, "rho": W_r}
@@ -1134,72 +1136,58 @@ def _leading_environment(M):
 
 
 class _TraceCache:
-    """What a trace channel takes from its tensor set alone, built on first
-    use and kept on the set (`_trace_cache`), every array read-only.
+    """What a trace channel takes from its tensor set alone, built from the
+    set's base arrays and kept on it (`_trace_cache`), every array read-only;
+    it holds no reference back to the set.
 
-    `row(kind, first, last)` is a column's Heisenberg row pair (K, B),
-    `eye[d]` the identity row, `adjoint(row)` a row's adjoint and
-    `environment()` the projector cell channel with its environments.
-    `maps` holds the site maps of `_sweep_cuts`, keyed by (ids of the site
-    tensors, live rows), of the sites whose every tensor is kept.  `owned`
-    holds each kept tensor by id, so no other array can take the id of a
-    key while the cache lives; a tensor with a call's operator folded in is
-    never kept, nor is its site's map, so a scan over operators adds none.
+    `proj` is the projector MPO and `environment()` its cell channel with
+    the environments.  `site(key)` is the tensor tuple (P, [K^dag, B^dag,]
+    B, K) of one window site, keyed by what the site is: (adjoint, leg,
+    column), with `leg` the projector leg and `column` (k % 2, k == 0,
+    k == n - 1) of Heisenberg column k, or None for an identity site.
+    `maps` holds the site maps of `_sweep_cuts` by (site key, live rows).  A
+    site with a call's operator folded in has no key, so neither it nor its
+    map is kept, and a scan over operators adds nothing.
     """
 
     def __init__(self, ts):
         self._base = ts.rho_tensor, ts.v_tensor, ts.counit_vec, ts.unit_vec
+        self.proj = _build_projector_mpo(ts)
+        for W in self.proj.values():
+            W.flags.writeable = False
         self._env = None
-        self.owned, self.rows, self.adj, self.maps = {}, {}, {}, {}
-        self._proj = projector_mpo(ts)
-        for W in self._proj.values():
-            self.keep(W)
-        self.eye = {d: self.keep(np.eye(d, dtype=complex)[None, None])
-                    for d in {ts.d_v, ts.d_rho}}
+        self.sites, self.maps = {}, {}
 
-    def keep(self, W):
-        W.flags.writeable = False
-        self.owned[id(W)] = W
-        return W
-
-    def row(self, kind, first, last):
-        """(K, B) of a rho (kind 0) or v (kind 1) column, closed by the counit
-        on the left if `first` and by the unit on the right if `last`."""
-        key = (kind, first, last)
-        if key not in self.rows:
-            rho, v, counit, unit = self._base
-            base = v if kind else rho
-            # ket row: phys in (down leg) -> internal out (up leg), bonds (y, x)
-            K = np.transpose(base, (3, 2, 0, 1))          # [y, x, up, down]
-            B = np.conj(np.transpose(base, (3, 2, 1, 0)))  # conj row: in = up of ket
-            if first:
-                K = np.einsum("l,lrxy->rxy", counit, K)[None]
-                B = np.einsum("l,lrxy->rxy", counit.conj(), B)[None]
-            if last:
-                K = np.einsum("lrxy,r->lxy", K, unit)[:, None]
-                B = np.einsum("lrxy,r->lxy", B, unit.conj())[:, None]
-            self.rows[key] = self.keep(K), self.keep(B)
-        return self.rows[key]
-
-    def adjoint(self, row):
-        """Every site tensor of `row` with out and in legs swapped and
-        conjugated; the adjoint of a kept tensor is kept."""
-        out = []
-        for W in row:
-            if id(W) not in self.owned:
-                out.append(np.conj(np.swapaxes(W, 2, 3)))
-                continue
-            if id(W) not in self.adj:
-                self.adj[id(W)] = self.keep(np.conj(np.swapaxes(W, 2, 3)))
-            out.append(self.adj[id(W)])
-        return out
+    def site(self, key):
+        if key not in self.sites:
+            adjoint, leg, column = key
+            if column is None:
+                K = B = np.eye(self.proj[leg].shape[2], dtype=complex)[None, None]
+            else:
+                kind, first, last = column
+                rho, v, counit, unit = self._base
+                base = v if kind else rho
+                # ket row: phys in (down leg) -> internal out (up leg), bonds (y, x)
+                K = np.transpose(base, (3, 2, 0, 1))          # [y, x, up, down]
+                B = np.conj(np.transpose(base, (3, 2, 1, 0)))  # conj row: in = up of ket
+                if first:
+                    K = np.einsum("l,lrxy->rxy", counit, K)[None]
+                    B = np.einsum("l,lrxy->rxy", counit.conj(), B)[None]
+                if last:
+                    K = np.einsum("lrxy,r->lxy", K, unit)[:, None]
+                    B = np.einsum("lrxy,r->lxy", B, unit.conj())[:, None]
+            site = (self.proj[leg],) + ((_adjoint(K), _adjoint(B)) if adjoint else ()) + (B, K)
+            for W in site:
+                W.flags.writeable = False
+            self.sites[key] = site
+        return self.sites[key]
 
     def environment(self):
         """(E, lam, lefts, rights): the per-cell (v-site then rho-site)
         channel E of the projector MPO divided by its spectral radius lam,
         and its leading left (k, n) and right (n, k) eigenvectors."""
         if self._env is None:
-            E = _pure_cell_channel(self._proj)
+            E = np.einsum("lrxx->lr", self.proj["v"]) @ np.einsum("lrxx->lr", self.proj["rho"])
             lam, lefts, rights = _leading_environment(E)
             lam = abs(lam)
             E = E / lam
@@ -1216,55 +1204,35 @@ def _trace_cache(ts) -> _TraceCache:
     return ts._trace_cache
 
 
-class _Layers(list):
-    """A trace channel's layers with the trace cache of their tensor set,
-    whose site maps `_sweep_cuts` reuses and extends."""
-
-    def __init__(self, layers, cache):
-        super().__init__(layers)
-        self.cache = cache
+def _adjoint(W):
+    """A site tensor with its out and in legs swapped and conjugated."""
+    return np.conj(np.swapaxes(W, 2, 3))
 
 
-def _projector_row(ts, window):
-    mats = projector_mpo(ts)
-    return [mats[leg_of(p, 0)] for p in window]
-
-
-def _fold(row, where, op, inner=False):
-    """`row` with `op` on the out leg of site `where` (on its in leg if
-    `inner`)."""
-    row = list(row)
-    row[where] = row[where] @ op if inner else op @ row[where]
-    return row
-
-
-def _heisenberg_rows(hmpo: HeisenbergMPO, window):
-    """The embedded MPO of O(t) as two rows, [bra, ket], with O on the ket
-    row's out leg; the rows of O(t)^dag are [adjoint(ket), adjoint(bra)].
+def _trace_layers(hmpo: HeisenbergMPO, window, adjoint):
+    """(layers, keys) of a trace channel over `window`: the projector row,
+    the rows of O(t)^dag, [adjoint(ket), adjoint(bra)], if `adjoint`, and
+    the rows of O(t), [bra, ket], with O on the ket row's out leg; `keys`
+    holds each site's trace-cache key, None at O's site.
 
     Splitting the rows keeps every bond at d_A instead of d_A^2, which is
     what makes the four-row OTOC channel affordable.  At t = 0 both rows are
-    identities and O sits on the ket row at the operator's position.  Every
-    site tensor but O's is kept by the trace cache, shared by every call.
+    identities and O sits on the ket row at the operator's position.
     """
-    ts = hmpo.ts
-    cache = _trace_cache(ts)
+    cache = _trace_cache(hmpo.ts)
     n = hmpo.n_columns
-    pos_to_col = {round(2 * p): k for k, p in enumerate(hmpo.support())}
-    op_col = n - 1 if hmpo.leg == "v" else 0
-    kets, bras = [], []
+    cols = {round(2 * p): k for k, p in enumerate(hmpo.support())}
+    keys = []
     for p in window:
-        k = pos_to_col.get(round(2 * p))
-        if k is None:
-            kets.append(cache.eye[ts.d_v if leg_of(p, 0) == "v" else ts.d_rho])
-            bras.append(kets[-1])
-            continue
-        K, B = cache.row(k % 2, k == 0, k == n - 1)
-        kets.append(hmpo.op @ K if k == op_col else K)
-        bras.append(B)
-    if not pos_to_col:
-        kets = _fold(kets, window.index(hmpo.position), hmpo.op)
-    return bras, kets
+        k = cols.get(round(2 * p))
+        keys.append((adjoint, leg_of(p, 0), None if k is None else (k % 2, k == 0, k == n - 1)))
+    sites = [list(cache.site(key)) for key in keys]
+    at = window.index(hmpo.support()[n - 1 if hmpo.leg == "v" else 0] if n else hmpo.position)
+    sites[at][-1] = hmpo.op @ sites[at][-1]
+    if adjoint:
+        sites[at][1] = _adjoint(sites[at][-1])
+    keys[at] = None
+    return [list(row) for row in zip(*sites)], keys
 
 
 def _join(keys, table):
@@ -1312,7 +1280,7 @@ def _site_map(site, live):
     return src, val, starts, out, cols
 
 
-def _sweep_cuts(layers, lefts, lam):
+def _sweep_cuts(layers, lefts, lam, keys, kept):
     """Left boundary vectors `lefts` (batch, bond), on the first layer's
     bond, swept through the window: yields (cols, vec) after each site, the
     live flat indices into that cut's bonds and the vector on them.
@@ -1320,52 +1288,41 @@ def _sweep_cuts(layers, lefts, lam):
     The live set is the exact nonzero pattern: the boundary's nonzero
     entries, then every output a nonzero path reaches.  It contains the
     vector's numerical support, so the restriction drops nothing but exact
-    zeros.  One map is built per distinct (site tensors, live rows).  When
-    `layers` carries its tensor set's trace cache (`_Layers`), the map of a
-    site whose every tensor the cache keeps is kept there and outlives the
-    call: the interior columns are the same tensors at every t, so a scan
-    builds each of their maps once.  A site with a call's operator folded
-    in keeps its map for this call only.  The window is whole cells (v-site,
-    rho-site), and the vector is divided by `lam` once per cell.
+    zeros.  The map of a site with a trace-cache key (`keys`) is kept in
+    `kept` by (key, live rows) and outlives the call: the interior columns
+    are the same tensors at every t, so a scan builds each of their maps
+    once.  A site of key None, with a call's operator folded in, has its map
+    built for this call only.  The window is whole cells (v-site, rho-site),
+    and the vector is divided by `lam` once per cell.
     """
-    cache = getattr(layers, "cache", None)
-    kept, owned = (cache.maps, cache.owned) if cache else ({}, {})
-    maps = {}
     cols = np.flatnonzero(np.any(lefts != 0, axis=0))
     live = np.zeros((len(cols), len(layers)), dtype=np.intp)
     live[:, 0] = cols
     vec = lefts[:, cols]
-    for s, site in enumerate(zip(*layers)):
-        ids = tuple(map(id, site))
-        table = kept if all(i in owned for i in ids) else maps
-        key = (ids, live.tobytes())
-        if key not in table:
-            table[key] = _site_map(site, live)
-            if table is kept:
-                for a in table[key]:
+    for s, (site, key) in enumerate(zip(zip(*layers), keys)):
+        if key is None:
+            site_map = _site_map(site, live)
+        else:
+            site_map = kept.get((key, live.tobytes()))
+            if site_map is None:
+                site_map = kept[key, live.tobytes()] = _site_map(site, live)
+                for a in site_map:
                     a.flags.writeable = False
-        src, val, starts, live, cols = table[key]
+        src, val, starts, live, cols = site_map
         vec = np.add.reduceat(vec[:, src] * val, starts, axis=1)
         if s % 2:
             vec = vec / lam
         yield cols, vec
 
 
-def _sweep_channel(layers, lefts, lam):
+def _sweep_channel(layers, lefts, lam, keys, kept):
     """`_sweep_cuts` to the window's end: the swept vectors on the full
     product of the last site's bonds, (batch, bonds)."""
-    for cols, vec in _sweep_cuts(layers, lefts, lam):
+    for cols, vec in _sweep_cuts(layers, lefts, lam, keys, kept):
         pass
     out = np.zeros((len(lefts), math.prod(row[-1].shape[1] for row in layers)), dtype=complex)
     out[:, cols] = vec
     return out
-
-
-def _pure_cell_channel(mats):
-    """Per-cell (v-site then rho-site) trace channel of the projector MPO."""
-    Nv = np.einsum("lrxx->lr", mats["v"])
-    Nr = np.einsum("lrxx->lr", mats["rho"])
-    return Nv @ Nr
 
 
 def _cell_window(positions):
@@ -1382,27 +1339,29 @@ def st_correlator(ts, A_op, B_op, x, t, ring_cells=None) -> complex:
     Layers, at every t: the projector and the two rows of A_0(t), B on the
     ket row's in leg.
     """
-    if abs((x - t) - round(x - t)) > 1e-9:
+    if leg_of(x, t) != "v":
         raise ValueError("need x - t integer")
     _half_steps(t)
     if abs(x) > t:
         return 0.0 + 0.0j
     hm = heisenberg_mpo(ts, A_op, t, position=0.0)
     window = _cell_window(hm.support() + [0.0, x])
-    bra, ket = _heisenberg_rows(hm, window)
-    ket = _fold(ket, window.index(float(x)), np.asarray(B_op), inner=True)
-    return _st_value(ts, window, [_projector_row(ts, window), bra, ket],
-                     ring_cells=ring_cells)
+    layers, keys = _trace_layers(hm, window, adjoint=False)
+    b = window.index(float(x))
+    layers[2][b] = layers[2][b] @ np.asarray(B_op)
+    keys[b] = None
+    return _st_value(ts, window, layers, keys, ring_cells=ring_cells)
 
 
-def _st_value(ts, window, layers, ring_cells=None) -> complex:
+def _st_value(ts, window, layers, keys, ring_cells=None) -> complex:
     """Normalized projector trace: infinite chain (environments) by default,
     or closed periodically over `ring_cells` unit cells for exact comparison
     with a finite-ring dense trace.  Layer 0 is the unfolded projector row.
     The per-cell channel E of the projector MPO, its environments and its
-    spectral radius lam come from the tensor set's trace cache, which the
-    sweep also reuses for its site maps; lam is divided out once per cell,
-    from E and from the swept vector alike, so both stay finite at any t."""
+    spectral radius lam come from the tensor set's trace cache, which also
+    keeps the sweep's maps of the sites with a key; lam is divided out once
+    per cell, from E and from the swept vector alike, so both stay finite at
+    any t."""
     cache = _trace_cache(ts)
     E, lam, lefts, rights = cache.environment()
     if ring_cells is not None:
@@ -1415,7 +1374,7 @@ def _st_value(ts, window, layers, ring_cells=None) -> complex:
         lefts, rights = vh[:r], (u[:, :r] * s[:r]).T
     else:
         rights = rights.T
-    num = np.sum(_sweep_channel(_Layers(layers, cache), lefts, lam) * rights)
+    num = np.sum(_sweep_channel(layers, lefts, lam, keys, cache.maps) * rights)
     den = np.sum(lefts @ np.linalg.matrix_power(E, len(window) // 2) * rights)
     return complex(num / den)
 
@@ -1437,15 +1396,12 @@ def otoc(ts, V_op, W_op, x, t, warn_nonunitary=True, ring_cells=None) -> complex
                 warnings.warn(f"{name} is not unitary; OTOC computed anyway")
     hm = heisenberg_mpo(ts, V_op, t, position=x)
     window = _cell_window(hm.support() + [0.0, x])
-    w_at = window.index(0.0)
-    bra, ket = _heisenberg_rows(hm, window)
-    cache = _trace_cache(ts)
-    layers = [
-        _projector_row(ts, window),
-        _fold(cache.adjoint(ket), w_at, W_op.conj().T), cache.adjoint(bra),
-        _fold(bra, w_at, W_op), ket,
-    ]
-    return _st_value(ts, window, layers, ring_cells=ring_cells)
+    layers, keys = _trace_layers(hm, window, adjoint=True)
+    w = window.index(0.0)
+    layers[1][w] = W_op.conj().T @ layers[1][w]
+    layers[3][w] = W_op @ layers[3][w]
+    keys[w] = None
+    return _st_value(ts, window, layers, keys, ring_cells=ring_cells)
 
 
 # -- PBC evolution and revivals -------------------------------------------------------

@@ -57,9 +57,9 @@ class SolvableTensorSet:
     counit_vec: np.ndarray
     residuals: dict = field(default_factory=dict)
     # built by the engine on first use and kept for this set only, so not
-    # copied by `dataclasses.replace`: the projector MPO (`mpo.projector_mpo`)
-    # and the trace-channel rows, maps and environment (`mpo._trace_cache`)
-    _projector_mpo: dict | None = field(default=None, init=False, repr=False, compare=False)
+    # copied by `dataclasses.replace`: the trace cache (`mpo._trace_cache`),
+    # which holds the projector MPO, the site tensors, their maps and the
+    # projector channel's environment, keyed by what each site is
     _trace_cache: object = field(default=None, init=False, repr=False, compare=False)
 
     @property

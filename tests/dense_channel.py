@@ -45,9 +45,10 @@ def dense_sweep_cuts(layers, lefts):
         yield vec.reshape(batch, -1)
 
 
-def dense_sweep_channel(layers, lefts, lam):
+def dense_sweep_channel(layers, lefts, lam, keys=None, kept=None):
     """The last cut's vector, divided by `lam` once per (v, rho) cell as the
-    engine's sweep is."""
+    engine's sweep is; `keys` and `kept`, the engine's site-map cache, are
+    not used."""
     for vec in dense_sweep_cuts(layers, lefts):
         pass
     return vec / lam ** (len(layers[0]) // 2)

@@ -45,7 +45,8 @@ def heisenberg_dense(hm):
     if n == 0:
         raise ValueError("O(t) covers no columns at t = 0")
     one = np.ones(1)
-    bra, ket = (mpo._chain(one, row, one) for row in mpo._heisenberg_rows(hm, hm.support()))
+    layers, _ = mpo._trace_layers(hm, hm.support(), adjoint=False)
+    bra, ket = (mpo._chain(one, row, one) for row in layers[1:])
     dense = (bra.reshape(math.prod(bra.shape[:n]), -1)
              @ ket.reshape(math.prod(ket.shape[:n]), -1))
     return dense.reshape(bra.shape[:n] + ket.shape[n:])

@@ -140,6 +140,50 @@ def test_bad_site_label_raises(label):
         _initial_state(label, 3)
 
 
+def test_run_skips_positions_off_the_half_integer_grid(tmp_path, capsys):
+    # a position that is not a multiple of 1/2 names no site: its point is
+    # skipped with its error in the manifest, never written as a row
+    config = {
+        "model": "zoo:fibonacci",
+        "initial_state": "3",
+        "quantities": [{"name": "otoc", "label": "f", "x": [0, 0.25, 0.3], "t": [1]},
+                       {"name": "expectation", "O": "e1", "label": "e", "x": [0.3, 1],
+                        "t": [1]}],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = run_cli(["run", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "3 point(s) skipped" in err
+    errors = json.loads((tmp_path / "o" / "manifest.json").read_text())["errors"]
+    assert sorted(e["point"]["x"] for e in errors) == [0.25, 0.3, 0.3]
+    assert all("multiple of 1/2" in e["error"] for e in errors)
+    for label, x in (("f", "0.0"), ("e", "1.0")):
+        rows = (tmp_path / "o" / f"{label}.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == [x]
+
+
+def test_run_builds_each_site_vector_with_its_own_dimension(tmp_path, capsys):
+    # twisted-perm-z2 has d_rho = 1 and d_v = 2: "+" is the one-entry rho
+    # site, so <id> = 1 at every time (a rho site built with d_v would give
+    # 4 at t = 1 and 16 at t = 2)
+    state = _initial_state("+", 2, 1)
+    assert state.rho_site.shape == (1, 1, 1) and state.v_site.shape == (2, 1, 1)
+    with pytest.raises(ValueError, match="rho vector"):
+        _initial_state({"rho": [1, 1], "v": [1, 0]}, 2, 1)
+    config = {"model": "zoo:twisted-perm-z2", "initial_state": "+",
+              "quantities": [{"name": "expectation", "O": "id", "label": "e", "t": [0, 1, 2]}]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "o" / "e.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[3] for r in rows] == ["0.0", "1.0", "2.0"]
+    for r in rows:
+        re, im = map(float, r.split(",")[-2:])
+        assert abs(re - 1) < 1e-12 and im == 0
+
+
 def test_run_records_bad_operator_label(tmp_path, capsys):
     # a bad label and a matrix operator that is not numeric skip their point
     for op, message in (("e4", "outside 1..3"), ({"x": 1}, "not a numeric array")):

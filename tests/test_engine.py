@@ -107,6 +107,44 @@ def test_expectation_identity_any_time(fib_ts, fib_state):
         assert abs(mpo.expectation(fib_ts, np.eye(3), t, fib_state) - 1) < 1e-9
 
 
+def test_state_sites_must_have_the_model_dimensions():
+    # twisted-perm-z2 has d_rho = 1 and d_v = 2: the state with one entry on
+    # the rho site is normalized at every time, and a two-entry rho site,
+    # which the column einsum would broadcast (<id> = 4 at t = 1, 16 at
+    # t = 2), is refused
+    ts = build_tensors(zoo.model("twisted-perm-z2"))
+    assert (ts.d_rho, ts.d_v) == (1, 2)
+    good = mpo.MPSState.product([1.0], [1.0, 1.0])
+    for t in (0, 1, 2):
+        assert abs(mpo.expectation(ts, np.eye(2), t, good) - 1) < 1e-12
+    bad = mpo.MPSState.product([1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="site dimensions"):
+        mpo.expectation(ts, np.eye(2), 1, bad)
+    with pytest.raises(ValueError, match="site dimensions"):
+        bad.transfer_stack(ts)
+    assert not bad._stacks
+
+
+@pytest.mark.parametrize("x", [0.25, 0.3, -0.75, 1e-3, 2.5 + 1e-9])
+def test_off_grid_position_raises(fib_ts, fib_state, x):
+    # a position that is not a multiple of 1/2 names no site: otoc(x=0.25)
+    # would round two columns onto one site and return 0, otoc(x=0.3) and
+    # expectation(x=0.3) the values at x = 0.5
+    rng = np.random.default_rng(0)
+    V, W = random_unitary(3, rng), random_unitary(3, rng)
+    for t in (0, 0.5, 1):
+        with pytest.raises(ValueError, match="multiple of 1/2"):
+            mpo.leg_of(x, t)
+        with pytest.raises(ValueError, match="multiple of 1/2"):
+            mpo.otoc(fib_ts, V, W, x, t, warn_nonunitary=False)
+        with pytest.raises(ValueError, match="multiple of 1/2"):
+            mpo.expectation(fib_ts, E_OPS[0], t, fib_state, x=x)
+        with pytest.raises(ValueError, match="multiple of 1/2"):
+            mpo.st_correlator(fib_ts, E_OPS[0], E_OPS[0], x, t)
+    for x in (0, 0.5, -1.5, 2.0):
+        assert mpo.leg_of(x, 1) == ("v" if float(x).is_integer() else "rho")
+
+
 def test_expectation_mps_initial_state(d3_ts):
     # bond-2 translation-invariant MPS initial state: the transfer-matrix
     # value must equal a dense environment-weighted window contraction

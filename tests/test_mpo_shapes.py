@@ -103,8 +103,8 @@ def test_projector_mpo_cut_to_exact_rank(name):
 @pytest.mark.parametrize("L,want", [(2, 7), (3, 18)])
 def test_cut_projector_channel_traces_subspace_dimension(fib_ts, L, want):
     # Tr(E^L) of the per-cell channel is the rank of the ring projector
-    E = mpo._pure_cell_channel(mpo.projector_mpo(fib_ts))
-    got = np.trace(np.linalg.matrix_power(E, L))
+    E, lam, _, _ = mpo._trace_cache(fib_ts).environment()
+    got = np.trace(np.linalg.matrix_power(E * lam, L))
     dim = orc.subspace(orc.DenseCircuit.from_tensor_set(fib_ts, L)).dimension
     assert dim == want
     assert abs(got - dim) < 1e-10

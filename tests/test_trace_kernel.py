@@ -4,16 +4,20 @@
 dense reference in `dense_channel` carries every entry.  The two agree to
 round-off on every zoo model, on the infinite chain and on rings, and the
 live set at every cut holds every nonzero entry of the dense vector.  The
-rows, maps and environment a tensor set keeps for its trace channels
-(`mpo._TraceCache`) change no value bitwise, answer for no other tensor
-set, and do not grow with a point's operators.
+site tensors, maps and environment a tensor set keeps for its trace
+channels (`mpo._TraceCache`, keyed by what each site is) change no value
+bitwise, answer for no other tensor set, do not grow with a point's
+operators and hold no reference back to the set.
 """
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfbrick import build_tensors, mpo, zoo
 from conftest import random_unitary
@@ -34,12 +38,12 @@ def dense_value(monkeypatch, fn, *args, **kwargs):
 
 
 def captured_sweeps(monkeypatch, fn, *args, **kwargs):
-    """Every (layers, lefts, lam) that `fn(*args, **kwargs)` sweeps."""
+    """Every (layers, lefts, lam, keys, kept) that `fn(*args, **kwargs)` sweeps."""
     calls = []
 
-    def spy(layers, lefts, lam):
-        calls.append((layers, lefts, lam))
-        return kernel(layers, lefts, lam)
+    def spy(layers, lefts, lam, keys, kept):
+        calls.append((layers, lefts, lam, keys, kept))
+        return kernel(layers, lefts, lam, keys, kept)
 
     kernel = mpo._sweep_channel
     with monkeypatch.context() as m:
@@ -112,8 +116,9 @@ def test_live_set_holds_the_dense_support_at_every_cut(monkeypatch, fib_ts, otoc
     sweeps += captured_sweeps(monkeypatch, mpo.st_correlator, fib_ts, E1, E1, 1.0, 2.0,
                               ring_cells=st_ring)
     assert len(sweeps) == 2
-    for layers, lefts, lam in sweeps:
-        cuts = list(zip(mpo._sweep_cuts(layers, lefts, lam), dense_sweep_cuts(layers, lefts)))
+    for layers, lefts, lam, keys, kept in sweeps:
+        cuts = list(zip(mpo._sweep_cuts(layers, lefts, lam, keys, kept),
+                        dense_sweep_cuts(layers, lefts)))
         assert len(cuts) == len(layers[0])
         for s, ((cols, vec), dense) in enumerate(cuts):
             assert set(np.flatnonzero(np.any(dense != 0, axis=0))) <= set(cols), s
@@ -169,6 +174,11 @@ def scan_values(ts, points, seed=8):
     return out
 
 
+def kept_ids(ts):
+    """Ids of every site array the trace cache of `ts` keeps."""
+    return {id(a) for site in ts._trace_cache.sites.values() for a in site}
+
+
 def counted_builds(monkeypatch):
     """A list that grows by one for every `_site_map` build while
     `monkeypatch` (a fixture or one of its contexts) is active."""
@@ -201,7 +211,7 @@ def test_second_tensor_set_builds_its_own_maps(monkeypatch, fib_ts):
     first = mpo.otoc(fib_ts, V, W, 0.0, 2.0, warn_nonunitary=False)
     builds = counted_builds(monkeypatch)
     for other in (dataclasses.replace(fib_ts), build_tensors(zoo.model("fibonacci"))):
-        assert other._trace_cache is None and other._projector_mpo is None
+        assert other._trace_cache is None
         del builds[:]
         assert mpo.otoc(other, V, W, 0.0, 2.0, warn_nonunitary=False) == first
         cold = len(builds)
@@ -209,7 +219,7 @@ def test_second_tensor_set_builds_its_own_maps(monkeypatch, fib_ts):
         mpo.otoc(fib_ts, V, W, 0.0, 2.0, warn_nonunitary=False)
         assert cold > len(builds)
         assert other._trace_cache is not fib_ts._trace_cache
-        assert not set(other._trace_cache.owned) & set(fib_ts._trace_cache.owned)
+        assert not kept_ids(other) & kept_ids(fib_ts)
 
 
 def test_operators_do_not_grow_the_cache():
@@ -222,18 +232,19 @@ def test_operators_do_not_grow_the_cache():
     for _ in range(20):
         mpo.otoc(ts, random_unitary(3, rng), W, 1.0, 3.0, warn_nonunitary=False)
         cache = ts._trace_cache
-        sizes.add((len(cache.maps), len(cache.owned), len(cache.rows), len(cache.adj)))
+        sizes.add((len(cache.maps), len(cache.sites)))
     assert len(sizes) == 1
 
 
 def test_cached_arrays_are_read_only(fib_ts):
     scan_values(fib_ts, SCAN[:4])
     cache = fib_ts._trace_cache
-    assert cache.maps and cache.rows
-    kept = list(cache.owned.values()) + [a for m in cache.maps.values() for a in m]
+    assert cache.maps and cache.sites
+    kept = [a for site in cache.sites.values() for a in site] + list(cache.proj.values())
+    kept += [a for m in cache.maps.values() for a in m]
     kept += [a for a in cache.environment() if isinstance(a, np.ndarray)]
     assert not any(a.flags.writeable for a in kept)
-    K, B = cache.row(0, False, False)
+    K = next(site for key, site in cache.sites.items() if key[2] is not None)[-1]
     with pytest.raises(ValueError):
         K[...] = 0
 
@@ -244,9 +255,11 @@ def test_repeated_point_builds_only_its_folded_sites(monkeypatch):
     for x, t in ((0.0, 2.5), (1.0, 3.0), (0.0, 0.0)):
         V, W = random_unitary(3, rng), random_unitary(3, rng)
         sweeps = captured_sweeps(monkeypatch, mpo.otoc, ts, V, W, x, t, warn_nonunitary=False)
-        (layers, _, _), = sweeps
-        folded = sum(not all(id(M) in ts._trace_cache.owned for M in site)
-                     for site in zip(*layers))
+        (layers, *_), = sweeps
+        # counted from the tensors, not the keys: a folded site holds an
+        # array that is none of the kept site arrays
+        kept = kept_ids(ts)
+        folded = sum(not all(id(M) in kept for M in site) for site in zip(*layers))
         assert 1 <= folded <= 2
         with monkeypatch.context() as m:
             builds = counted_builds(m)
@@ -264,3 +277,69 @@ def test_otoc_scan_build_count(monkeypatch):
     for x, t in SCAN:
         mpo.otoc(ts, V, W, x, t, warn_nonunitary=False)
     assert len(builds) <= 81
+
+
+# -- site keys name their tensors ------------------------------------------------------
+
+
+def trace_values(ts, x, t, ring_cells):
+    """otoc, and st_correlator where x - t is an integer, at (x, t) with
+    operators drawn from a seed of the point alone."""
+    rng = np.random.default_rng([int(2 * x) + 16, int(2 * t)])
+    V, W = random_unitary(leg_dim(ts, x, t), rng), random_unitary(ts.d_v, rng)
+    out = [mpo.otoc(ts, V, W, x, t, False, ring_cells)]
+    if mpo.leg_of(x, t) == "v":
+        A = rng.normal(size=(leg_dim(ts, 0.0, t),) * 2)
+        d_b = leg_dim(ts, x, 0.0)
+        B = rng.normal(size=(d_b, d_b)) + 1j * rng.normal(size=(d_b, d_b))
+        out.append(mpo.st_correlator(ts, A, B, x, t, ring_cells))
+    return out
+
+
+@pytest.fixture(scope="module")
+def warm_sets():
+    """One tensor set per model, warmed by every example before."""
+    return {}
+
+
+@pytest.mark.parametrize("name", sorted(zoo.MODELS))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)),
+                       min_size=1, max_size=4, unique=True),
+       ring=st.booleans())
+def test_site_keys_name_their_tensors(warm_sets, name, points, ring):
+    # on one tensor set warmed by every earlier example, in any point order,
+    # each value is bitwise the value of a fresh set and the dense sweep's to
+    # round-off; twisted-perm-z2's identity sites differ by leg (d_rho = 1,
+    # d_v = 2), so a key without the leg would hand one the other's map
+    ring_cells = 8 if ring else None
+    warm = warm_sets.setdefault(name, build_tensors(zoo.model(name)))
+    for x2, t2 in points:
+        x, t = x2 / 2, t2 / 2
+        got = trace_values(warm, x, t, ring_cells)
+        assert got == trace_values(build_tensors(zoo.model(name)), x, t, ring_cells), (x, t)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(mpo, "_sweep_channel", dense_sweep_channel)
+            dense = trace_values(warm, x, t, ring_cells)
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(got, dense)), (x, t)
+
+
+def test_trace_cache_holds_no_reference_to_its_tensor_set():
+    # with the cyclic collector off, a tensor set that has served OTOC and
+    # st_correlator points is freed by reference counting alone: its trace
+    # cache holds base arrays, never the set
+    rng = np.random.default_rng(9)
+    V, W = random_unitary(3, rng), random_unitary(3, rng)
+    gc.collect()
+    gc.disable()
+    try:
+        ts = build_tensors(zoo.model("fibonacci"))
+        for ring_cells in (None, 6):
+            mpo.otoc(ts, V, W, 1.0, 1.5, False, ring_cells)
+            mpo.st_correlator(ts, E1, E1, 1.0, 2.0, ring_cells)
+        assert ts._trace_cache.maps and ts._trace_cache.sites
+        ref = weakref.ref(ts)
+        del ts
+        assert ref() is None
+    finally:
+        gc.enable()
